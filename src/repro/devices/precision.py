@@ -20,8 +20,9 @@ This module implements those numeric paths from scratch:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -63,6 +64,61 @@ def precision_by_name(name: str) -> Precision:
     return _BY_NAME[name]
 
 
+def _percentiles(
+    data: np.ndarray, percents: Tuple[float, ...], channels: bool = False
+) -> List[np.ndarray]:
+    """``[numpy.percentile(data, p) for p in percents]`` from one sort.
+
+    With ``channels`` each entry holds one percentile per channel along
+    axis 0, as ``numpy.percentile(data, p, axis=tuple(range(1, ndim)))``
+    returns it.  ``data`` must be non-empty and each ``p`` a Python float
+    in [0, 100].  Two ``numpy.percentile`` calls partition the tensor
+    twice; one sort serves every percentile, and on the small blocks the
+    Edge TPU surrogate calibrates it also beats a multi-kth
+    ``np.partition`` (docs/performance.md, "Edge TPU calibration").
+
+    The arithmetic is NumPy 2's ``linear`` method for a Python-float
+    ``p``: a float64 virtual index ``(n - 1) * (p / 100)`` (``p >= 0``
+    keeps it off the lower end; at the upper end it clamps to the last
+    element, whose gamma NumPy measures from index -1), a Python-float
+    gamma, so the lerp runs in the input dtype (NEP 50), the lerp's
+    ``t >= 0.5`` branch, and NaN taken from the sorted tail.  The result
+    is bit-identical to ``numpy.percentile`` with one exception: when
+    the input holds both -0.0 and +0.0, the sign of a zero result may
+    differ, because which tied zero lands at an index depends on the
+    selection algorithm.  The values compare equal either way.
+    """
+    if channels:
+        ordered = np.sort(data.reshape(data.shape[0], -1), axis=1)
+    else:
+        ordered = np.sort(data, axis=None)[np.newaxis]
+    count = ordered.shape[1]
+    tail = ordered[:, -1]
+    nan_tail = np.isnan(tail)
+    results = []
+    for percent in percents:
+        if not 0.0 <= percent <= 100.0:
+            raise ValueError("Percentiles must be in the range [0, 100]")
+        index = (count - 1) * (percent / 100)
+        if index >= count - 1:
+            below = above = -1
+        else:
+            below = math.floor(index)
+            above = below + 1
+        gamma = index - below
+        low = ordered[:, below]
+        high = ordered[:, above]
+        diff = high - low
+        if gamma >= 0.5:
+            value = high - diff * (1 - gamma)
+        else:
+            value = low + diff * gamma
+        if nan_tail.any():
+            value = np.where(nan_tail, tail, value)
+        results.append(value if channels else value[0])
+    return results
+
+
 def quantization_scale(
     data: np.ndarray, bits: int, clip_percentile: float = None
 ) -> float:
@@ -83,7 +139,7 @@ def quantization_scale(
     if clip_percentile is None:
         max_abs = float(magnitudes.max())
     else:
-        max_abs = float(np.percentile(magnitudes, clip_percentile))
+        max_abs = float(_percentiles(magnitudes, (clip_percentile,))[0])
         if max_abs == 0.0:
             max_abs = float(magnitudes.max())
     if max_abs == 0.0:
@@ -123,8 +179,8 @@ def affine_range(
         return 0.0, 0.0
     if clip_percentile is None:
         return float(data.min()), float(data.max())
-    low = float(np.percentile(data, 100.0 - clip_percentile))
-    high = float(np.percentile(data, clip_percentile))
+    low, high = _percentiles(data, (100.0 - clip_percentile, clip_percentile))
+    low, high = float(low), float(high)
     if low == high:
         return float(data.min()), float(data.max())
     return low, high
@@ -173,8 +229,11 @@ def round_trip_affine_channels(
         low = data.min(axis=axes).astype(np.float64)
         high = data.max(axis=axes).astype(np.float64)
     else:
-        low = np.percentile(data, 100.0 - clip_percentile, axis=axes).astype(np.float64)
-        high = np.percentile(data, clip_percentile, axis=axes).astype(np.float64)
+        low, high = _percentiles(
+            data, (100.0 - clip_percentile, clip_percentile), channels=True
+        )
+        low = low.astype(np.float64)
+        high = high.astype(np.float64)
         eq = low == high
         if np.any(eq):
             low = np.where(eq, data.min(axis=axes).astype(np.float64), low)
