@@ -42,10 +42,11 @@ a hung-but-alive shard can never double-execute work the router migrates.
 from __future__ import annotations
 
 import multiprocessing
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.transport import ChaosConfig, ReliableOutbox, Transport
 from repro.errors import (
@@ -133,6 +134,7 @@ class _EventChannel:
         self.outbox = ReliableOutbox(timeout=ack_timeout)
         self.resent = 0
         self._seq = 0
+        self._seen_commands: set = set()
         self._lock = threading.Lock()
 
     def emit(self, kind: str, payload: Dict[str, Any]) -> int:
@@ -145,9 +147,24 @@ class _EventChannel:
             self.transport.send(message)
         return seq
 
-    def ack(self, seq: int) -> None:
-        with self._lock:
-            self.outbox.ack(seq)
+    def receive(self, command: Tuple[int, str, tuple]) -> Optional[Tuple[str, tuple]]:
+        """Take one router command off the wire: ack it on receipt, drop
+        duplicates, and apply an ``ack_event``; returns ``(kind, args)``
+        for a new command the shard must act on, else None."""
+        seq, kind, args = command
+        if kind != "ack_event":
+            # Ack on receipt (even for duplicates: our earlier ack may be
+            # the message the transport ate); dedup below keeps the
+            # execution exactly-once.
+            self.emit("ack", {"seq": seq})
+        if seq in self._seen_commands:
+            return None
+        self._seen_commands.add(seq)
+        if kind == "ack_event":
+            with self._lock:
+                self.outbox.ack(int(args[0]))
+            return None
+        return kind, args
 
     def tick(self) -> None:
         """Resend due unacked events and release held (delayed) traffic."""
@@ -157,16 +174,33 @@ class _EventChannel:
                 self.transport.send(message)
             self.transport.flush()
 
-    def close(self, timeout: float = 2.0) -> None:
+    def close(
+        self,
+        commands: multiprocessing.Queue,
+        late: Callable[[str, tuple], None],
+        timeout: float = 2.0,
+    ) -> None:
         """Keep resending until the outbox drains (bounded) -- the final
-        ``stopped`` event must survive the transport too."""
+        ``stopped`` event must survive the transport too.
+
+        The router's acks arrive on ``commands``, which nothing else reads
+        once the command loop has exited, so close reads it: each
+        ``ack_event`` is applied, and every other new command goes to
+        ``late``.
+        """
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._lock:
                 if self.outbox.empty and self.transport.held == 0:
                     return
             self.tick()
-            time.sleep(0.02)
+            try:
+                command = commands.get(timeout=0.02)
+            except queue.Empty:
+                continue
+            received = self.receive(command)
+            if received is not None:
+                late(*received)
         with self._lock:
             self.transport.flush(force=True)
 
@@ -252,22 +286,21 @@ def shard_main(
             {"spec": spec_dict, "blocked": blocked, "hlops": hlops},
         )
 
-    seen_commands: set = set()
+    def refuse(kind: str, args: tuple) -> None:
+        """A command that arrived after ``stop``: submissions bounce back
+        as on the ``ServiceStopped`` path; the rest have nothing to act on."""
+        if kind == "submit":
+            bounce(args[0])
+        elif kind == "submit_recovered":
+            bounce(args[0], blocked=args[1], hlops=args[2])
+
     try:
         while True:
-            command = commands.get()
-            seq, kind, args = command
-            if kind != "ack_event":
-                # Ack on receipt (even for duplicates: our earlier ack may
-                # be the message the transport ate); dedup below keeps the
-                # execution exactly-once.
-                channel.emit("ack", {"seq": seq})
-            if seq in seen_commands:
+            received = channel.receive(commands.get())
+            if received is None:
                 continue
-            seen_commands.add(seq)
-            if kind == "ack_event":
-                channel.ack(int(args[0]))
-            elif kind == "submit":
+            kind, args = received
+            if kind == "submit":
                 job_spec = JobSpec.from_dict(args[0])
                 try:
                     service.submit(job_spec)
@@ -349,7 +382,7 @@ def shard_main(
         # The outbox keeps resending until the router acks (or the bound
         # expires); without this, chaos could eat the final events of a
         # clean shutdown and turn a graceful leave into a fake crash.
-        channel.close(timeout=2.0)
+        channel.close(commands, refuse, timeout=2.0)
 
 
 def encode_hlops(hlops: Dict[int, Any]) -> Dict[int, Dict[str, Any]]:
