@@ -313,7 +313,6 @@ def measure(args) -> dict:
     )
     return {
         "schema": SCHEMA,
-        "pr": 9,
         "quick": bool(args.quick),
         "seed": args.seed,
         "repeat": max(1, args.repeat),
