@@ -101,7 +101,8 @@ class EdgeTPUDevice(Device):
         # the per-member round trip), so this is legal only without a
         # kernel channel axis.  Non-invariant kernels keep per-member
         # model math but still share the channelled quantization round
-        # trips (the calibration percentiles are the expensive part).
+        # trips (one calibration sort and one float64 grid pass per unit,
+        # not per member).
         # The matmul mode and channelled kernels fall back to the
         # per-member loop.
         del arena

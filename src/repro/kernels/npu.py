@@ -132,8 +132,8 @@ def npu_execute_batch_per_member(
     one member at a time, but both quantization round trips are per-member
     operations regardless, so the stack still goes through
     :func:`round_trip_affine_channels` in one pass each way -- the
-    percentile calibration, the expensive part of the surrogate, is paid
-    once per unit instead of once per member.  Bit-identical to the
+    calibration sort and the float64 grid arithmetic run once per unit
+    instead of once per member.  Bit-identical to the
     per-member :func:`npu_execute` loop for ``channel_axis=None`` blocks
     (the channelled round trip is pinned equal to the per-member one, and
     the kernel sees byte-identical quantized inputs).
