@@ -1,41 +1,45 @@
 #!/usr/bin/env python
 """Wall-clock benchmark harness for the compute-backend subsystem.
 
-Runs the experiment suite four times -- the ``serial`` backend with the
-result cache off (the historical configuration), the ``pool`` backend
-with the cross-run cache on (the PR 3 configuration), cache *and* the
-HLOP fusion/batching pass (``--fuse``, PR 7), and cache + fusion driven
-through the latency-hiding overlap engine (``--overlap``, PR 8: one
-wall-clock event loop interleaves every run and the fusion pass batches
-*across* jobs) -- and records wall-clock per experiment, per-leg totals,
-cache and fusion statistics, and a ``repro.obs`` phase profile of a
-representative observed run.  With ``--repeat N`` the legs run as N
-paired rounds and the reported speedups come from the best single
-round, so both ends of every ratio are measured in the same
-machine-speed window (per-round walls are kept in the record under
-``rounds``).  A fifth, *simulated-time* leg (PR 9) runs the DAG
-workloads under every DAG policy and records the best ready-schedule
-makespan ratio over serial step-at-a-time execution
+Runs the experiment suite three times -- the ``serial`` backend with
+the result cache off (the historical configuration), the ``pool``
+backend with the cross-run cache on (the PR 3 configuration), and cache
+*and* the HLOP fusion/batching pass (``--fuse``, PR 7) -- and records
+wall-clock per experiment, per-leg totals, cache and fusion statistics,
+and a ``repro.obs`` phase profile of a representative observed run.
+With ``--repeat N`` the legs run as N paired rounds and the reported
+speedups come from the best single round, so both ends of every ratio
+are measured in the same machine-speed window (per-round walls are kept
+in the record under ``rounds``).  A fourth, *simulated-time* leg (PR 9)
+runs the DAG workloads under every DAG policy and records the best
+ready-schedule makespan ratio over serial step-at-a-time execution
 (``speedup_dag_over_serial``); simulated ratios are deterministic, so
 they are computed once outside the paired rounds.  The perf trajectory
 lives in ``BENCH_pr3.json`` -> ``BENCH_pr7.json`` -> ``BENCH_pr8.json``
--> ``BENCH_pr9.json``.
+-> ``BENCH_pr9.json`` -> ``BENCH_pr17.json``.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench.py --quick                # measure
-    PYTHONPATH=src python scripts/bench.py --quick --check BENCH_pr8.json
+    PYTHONPATH=src python scripts/bench.py --quick --jobs 1 --repeat 5   # measure
+    PYTHONPATH=src python scripts/bench.py --quick --jobs 1 --repeat 5 --check BENCH_pr17.json
 
-``--check`` compares the fresh measurement against a recorded baseline and
-exits non-zero when
+The fresh record goes to ``--out`` (default ``BENCH_latest.fresh.json``,
+which ``.gitignore`` covers), so a measurement never overwrites a
+committed baseline unless asked to.
+
+``--check`` compares the fresh measurement against a recorded baseline.
+It refuses, before measuring, a baseline whose ``jobs_resolved`` differs
+from this run's worker count (``--jobs``, or the logical CPU count): with
+more than one worker the fuse leg runs on the pool backend, so the two
+records would measure different things.  Otherwise it exits non-zero
+when
 
 * the pool+cache leg is slower than the serial leg,
 * the fused leg is slower than the un-fused pool leg (fusion must pay for
   itself),
-* the overlap leg is slower than the serial leg,
 * the best DAG policy fails to beat serial step-at-a-time on simulated
   makespan, or
-* any speedup ratio (pool, fuse, overlap, dag -- each over serial)
+* any speedup ratio (pool, fuse, dag -- each over serial)
   regressed by more than ``--tolerance`` (default 10%) versus the
   baseline's ratio.  Ratios, not absolute seconds, so the gate is portable across
   machines of different speeds.  For gating, each fresh ratio is its own
@@ -75,9 +79,7 @@ from repro.workloads.generator import generate
 SCHEMA = "repro.bench/v1"
 
 
-def _leg_settings(
-    args, backend: str, cache: bool, fuse: bool, overlap: bool = False
-) -> ExperimentSettings:
+def _leg_settings(args, backend: str, cache: bool, fuse: bool) -> ExperimentSettings:
     settings = ExperimentSettings(seed=args.seed)
     if args.quick:
         settings.size = 512 * 512
@@ -87,7 +89,6 @@ def _leg_settings(
         cache=cache,
         validate=args.validate,
         fuse=fuse,
-        overlap=overlap,
     )
     return settings
 
@@ -114,19 +115,13 @@ def _phase_profile(
 
 
 def _run_leg(
-    args,
-    name: str,
-    backend: str,
-    cache: bool,
-    jobs,
-    fuse: bool = False,
-    overlap: bool = False,
+    args, name: str, backend: str, cache: bool, jobs, fuse: bool = False
 ) -> dict:
     if cache:
         result_cache().clear()
     if fuse:
         reset_fuse_stats()
-    settings = _leg_settings(args, backend, cache, fuse, overlap)
+    settings = _leg_settings(args, backend, cache, fuse)
     # Collect the previous leg's garbage (dead engines, freed result-cache
     # entries) outside the timed region so one leg's allocation debris
     # does not bill the next leg's wall clock.
@@ -138,7 +133,6 @@ def _run_leg(
         "backend": backend,
         "cache": cache,
         "fuse": fuse,
-        "overlap": overlap,
         "jobs": jobs,
         # The worker count this leg actually ran with (``jobs: null``
         # means "no fan-out", i.e. one effective worker) -- recorded
@@ -155,8 +149,7 @@ def _run_leg(
         leg["arena_stats"] = arena().as_dict()
     print(
         f"  {name:<12} {wall:7.1f}s  "
-        f"(backend={backend}, cache={cache}, fuse={fuse}, "
-        f"overlap={overlap}, jobs={jobs})"
+        f"(backend={backend}, cache={cache}, fuse={fuse}, jobs={jobs})"
     )
     return leg
 
@@ -230,11 +223,18 @@ def _dag_leg(args) -> dict:
     }
 
 
+def resolved_jobs(args) -> int:
+    """The worker count the pool and fuse legs run with.
+
+    Defaults to the real core count: extra threads on a small box are
+    pure oversubscription and only add handoff/GIL noise to the legs.
+    """
+    return args.jobs or (os.cpu_count() or 1)
+
+
 def measure(args) -> dict:
     print(f"benchmarking the {'quick ' if args.quick else ''}experiment suite:")
-    # Default to the real core count: extra threads on a small box are
-    # pure oversubscription and only add handoff/GIL noise to the legs.
-    jobs = args.jobs or (os.cpu_count() or 1)
+    jobs = resolved_jobs(args)
     # The fused leg measures cache+fusion at the machine's best worker
     # configuration: with a single worker the pool's thread handoff is
     # pure overhead, so fusion runs on the serial backend (identical
@@ -254,42 +254,19 @@ def measure(args) -> dict:
         fused = _run_leg(
             args, "cache+fuse", fuse_backend, cache=True, jobs=jobs, fuse=True
         )
-        overlapped = _run_leg(
-            args,
-            "overlap+fuse",
-            fuse_backend,
-            cache=True,
-            jobs=jobs,
-            fuse=True,
-            overlap=True,
-        )
         speedup = serial["wall_seconds"] / max(pool["wall_seconds"], 1e-9)
         fuse_speedup = serial["wall_seconds"] / max(fused["wall_seconds"], 1e-9)
-        overlap_speedup = serial["wall_seconds"] / max(
-            overlapped["wall_seconds"], 1e-9
-        )
         rounds.append(
             {
-                "legs": {
-                    "serial": serial,
-                    "pool": pool,
-                    "fuse": fused,
-                    "overlap": overlapped,
-                },
+                "legs": {"serial": serial, "pool": pool, "fuse": fused},
                 "speedup_pool_over_serial": round(speedup, 4),
                 "speedup_fuse_over_serial": round(fuse_speedup, 4),
-                "speedup_overlap_over_serial": round(overlap_speedup, 4),
             }
         )
-    best = max(rounds, key=lambda r: r["speedup_overlap_over_serial"])
-    serial, pool, fused, overlapped = (
-        best["legs"][k] for k in ("serial", "pool", "fuse", "overlap")
-    )
+    best = max(rounds, key=lambda r: r["speedup_fuse_over_serial"])
+    serial, pool, fused = (best["legs"][k] for k in ("serial", "pool", "fuse"))
     # The phase profiles are deterministic simulated-time attributions --
-    # one per leg configuration, attached after the timed rounds.  The
-    # overlap leg's profile equals the fused one: a single observed run
-    # has no sibling jobs to overlap with, and overlap never changes the
-    # simulated timeline anyway.
+    # one per leg configuration, attached after the timed rounds.
     serial["phase_profile"] = _phase_profile(
         "serial", False, None, args.seed, args.validate
     )
@@ -299,14 +276,9 @@ def measure(args) -> dict:
     fused["phase_profile"] = _phase_profile(
         fuse_backend, True, jobs, args.seed, args.validate, fuse=True
     )
-    overlapped["phase_profile"] = fused["phase_profile"]
     dag = _dag_leg(args)
     print(f"  pool+cache speedup over serial: {best['speedup_pool_over_serial']:.2f}x")
     print(f"  cache+fuse speedup over serial: {best['speedup_fuse_over_serial']:.2f}x")
-    print(
-        f"  overlap+fuse speedup over serial: "
-        f"{best['speedup_overlap_over_serial']:.2f}x"
-    )
     print(
         f"  dag ready-schedule speedup over serial (simulated): "
         f"{dag['speedup_dag_over_serial']:.2f}x"
@@ -327,14 +299,13 @@ def measure(args) -> dict:
             "machine": platform.machine(),
             "system": platform.system(),
         },
-        #: The resolved default worker count the pool/fuse/overlap legs ran
-        #: with this invocation (``--jobs`` or the logical CPU count).
+        #: The resolved default worker count the pool/fuse legs ran with
+        #: this invocation (``--jobs`` or the logical CPU count).
         "jobs_resolved": jobs,
         "legs": {
             "serial": serial,
             "pool": pool,
             "fuse": fused,
-            "overlap": overlapped,
             "dag": dag,
         },
         "rounds": [
@@ -342,13 +313,11 @@ def measure(args) -> dict:
                 "walls": {k: r["legs"][k]["wall_seconds"] for k in r["legs"]},
                 "speedup_pool_over_serial": r["speedup_pool_over_serial"],
                 "speedup_fuse_over_serial": r["speedup_fuse_over_serial"],
-                "speedup_overlap_over_serial": r["speedup_overlap_over_serial"],
             }
             for r in rounds
         ],
         "speedup_pool_over_serial": best["speedup_pool_over_serial"],
         "speedup_fuse_over_serial": best["speedup_fuse_over_serial"],
-        "speedup_overlap_over_serial": best["speedup_overlap_over_serial"],
         "speedup_dag_over_serial": dag["speedup_dag_over_serial"],
     }
 
@@ -357,7 +326,7 @@ def _best_ratio(record: dict, key: str):
     """The best value of ``key`` across the record's paired rounds.
 
     The headline ratios all come from the single best round (selected by
-    the overlap ratio), but for *gating* each ratio independently takes
+    the fuse ratio), but for *gating* each ratio independently takes
     its own best round: every ratio is still a within-round pairing, and
     the gate stops failing just because one noisy round dragged a ratio
     it was not selected by.  Falls back to the headline for old records.
@@ -373,7 +342,6 @@ def _best_ratio(record: dict, key: str):
 _LEG_FOR_RATIO = {
     "speedup_pool_over_serial": "pool",
     "speedup_fuse_over_serial": "fuse",
-    "speedup_overlap_over_serial": "overlap",
 }
 
 
@@ -421,12 +389,6 @@ def check(record: dict, baseline: dict, tolerance: float) -> int:
             f"fusion leg is slower than the un-fused pool leg "
             f"({fuse_speedup:.2f}x < {speedup:.2f}x over serial)"
         )
-    overlap_speedup = _best_ratio(record, "speedup_overlap_over_serial")
-    if overlap_speedup is not None and overlap_speedup < 1.0:
-        failures.append(
-            f"overlap leg is slower than serial "
-            f"(speedup {overlap_speedup:.2f}x < 1.0x)"
-        )
     dag_speedup = record.get("speedup_dag_over_serial")
     if dag_speedup is not None and dag_speedup < 1.0:
         failures.append(
@@ -437,7 +399,6 @@ def check(record: dict, baseline: dict, tolerance: float) -> int:
     for key, fresh in (
         ("speedup_pool_over_serial", speedup),
         ("speedup_fuse_over_serial", fuse_speedup),
-        ("speedup_overlap_over_serial", overlap_speedup),
         ("speedup_dag_over_serial", dag_speedup),
     ):
         base = baseline.get(key)
@@ -489,12 +450,13 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="pool workers / runner fan-out (default: cpu count)")
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
-                        help="run N paired rounds (all four legs back-to-back "
+                        help="run N paired rounds (all three legs back-to-back "
                              "per round) and report the best round's ratios; "
                              "pairing keeps both ends of each ratio in the "
                              "same machine-speed window")
-    parser.add_argument("--out", default="BENCH_pr9.json", metavar="PATH",
-                        help="where to write the fresh record")
+    parser.add_argument("--out", default="BENCH_latest.fresh.json", metavar="PATH",
+                        help="where to write the fresh record (default "
+                             "BENCH_latest.fresh.json, ignored by git)")
     parser.add_argument("--check", metavar="BASELINE.json",
                         help="compare against a recorded baseline and gate")
     parser.add_argument("--tolerance", type=float, default=0.10,
@@ -508,6 +470,20 @@ def main() -> int:
     if args.check:
         with open(args.check) as fh:  # read *before* --out may overwrite it
             baseline = json.load(fh)
+        jobs = resolved_jobs(args)
+        recorded = baseline.get("jobs_resolved")
+        if recorded != jobs:
+            hint = (
+                f"pass --jobs {recorded} to compare like with like"
+                if recorded is not None
+                else "the baseline predates that field; record a new one"
+            )
+            print(
+                f"BENCH REFUSED: {args.check} was recorded at jobs_resolved="
+                f"{recorded}, but this run would use jobs={jobs}; {hint}",
+                file=sys.stderr,
+            )
+            return 2
 
     record = measure(args)
     with open(args.out, "w") as fh:

@@ -89,18 +89,14 @@ def spec_for(index: int, deadline_every: int = 10) -> JobSpec:
     )
 
 
-def stage_a_overload(n_jobs: int, validate: bool, overlap: int) -> None:
-    print(
-        f"stage A: open-loop overload, {n_jobs} jobs, chaos + shed policy, "
-        f"overlap_jobs={overlap}"
-    )
+def stage_a_overload(n_jobs: int, validate: bool) -> None:
+    print(f"stage A: open-loop overload, {n_jobs} jobs, chaos + shed policy")
     service = ShmtService(
         ServiceConfig(
             workers=4,
             admission=AdmissionConfig(capacity=8, policy="shed", tenant_cap=6),
             fault_plan=chaos_plan(),
             validate=validate,
-            overlap_jobs=overlap,
         )
     ).start()
     jobs, rejected = [], 0
@@ -158,18 +154,14 @@ def stage_a_overload(n_jobs: int, validate: bool, overlap: int) -> None:
     print(f"  latency p50={p50 * 1e3:.3f}ms p99={p99 * 1e3:.3f}ms")
 
 
-def stage_b_closed_loop(n_jobs: int, validate: bool, overlap: int) -> None:
-    print(
-        f"stage B: closed-loop arrival, {n_jobs} jobs, block policy, "
-        f"overlap_jobs={overlap}"
-    )
+def stage_b_closed_loop(n_jobs: int, validate: bool) -> None:
+    print(f"stage B: closed-loop arrival, {n_jobs} jobs, block policy")
     service = ShmtService(
         ServiceConfig(
             workers=4,
             admission=AdmissionConfig(capacity=4, policy="block", block_timeout=120.0),
             fault_plan=chaos_plan(),
             validate=validate,
-            overlap_jobs=overlap,
         )
     ).start()
     jobs: list = []
@@ -200,10 +192,8 @@ def stage_b_closed_loop(n_jobs: int, validate: bool, overlap: int) -> None:
     check(done == len(jobs), "closed-loop jobs all completed")
 
 
-def stage_c_kill_resume(
-    n_jobs: int, validate: bool, checkpoint_dir: str, overlap: int
-) -> None:
-    print(f"stage C: kill-and-resume drill, {n_jobs} jobs, overlap_jobs={overlap}")
+def stage_c_kill_resume(n_jobs: int, validate: bool, checkpoint_dir: str) -> None:
+    print(f"stage C: kill-and-resume drill, {n_jobs} jobs")
     specs = [spec_for(2000 + i, deadline_every=0) for i in range(n_jobs)]
     # Breakers that never trip: the drill's blocked sets stay empty, so
     # the uninterrupted reference is trivially comparable.
@@ -218,7 +208,6 @@ def stage_c_kill_resume(
             validate=validate,
             checkpoint_path=path,
             kill_after_hlops=kill_after,
-            overlap_jobs=overlap,
         )
 
     # Reference: same specs, no kill.
@@ -314,8 +303,8 @@ def stage_c_kill_resume(
     )
 
 
-def stage_d_breaker(n_jobs: int, validate: bool, overlap: int) -> None:
-    print(f"stage D: forced-open breaker drill, {n_jobs} jobs, overlap_jobs={overlap}")
+def stage_d_breaker(n_jobs: int, validate: bool) -> None:
+    print(f"stage D: forced-open breaker drill, {n_jobs} jobs")
     clock = [0.0]
     service = ShmtService(
         ServiceConfig(
@@ -324,7 +313,6 @@ def stage_d_breaker(n_jobs: int, validate: bool, overlap: int) -> None:
             breaker=BreakerConfig(failure_threshold=3, cooldown=5.0, close_threshold=2),
             breaker_clock=lambda: clock[0],
             validate=validate,
-            overlap_jobs=overlap,
         )
     ).start()
     service.breakers.force_open("tpu0")
@@ -390,14 +378,6 @@ def main() -> None:
     parser.add_argument(
         "--validate", action="store_true", help="invariant-check every job's run"
     )
-    parser.add_argument(
-        "--overlap-jobs",
-        type=int,
-        default=2,
-        metavar="K",
-        help="jobs each worker drives concurrently through the overlap "
-        "driver (default: 2; 1 = classic sequential workers)",
-    )
     args = parser.parse_args()
     if args.quick:
         a_jobs, b_jobs, c_jobs, d_jobs = 140, 40, 24, 8
@@ -408,10 +388,10 @@ def main() -> None:
     print(f"soak check: {total} jobs across four stages{suffix}")
     started = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
-        stage_a_overload(a_jobs, args.validate, args.overlap_jobs)
-        stage_b_closed_loop(b_jobs, args.validate, args.overlap_jobs)
-        stage_c_kill_resume(c_jobs, args.validate, tmp, args.overlap_jobs)
-        stage_d_breaker(d_jobs, args.validate, args.overlap_jobs)
+        stage_a_overload(a_jobs, args.validate)
+        stage_b_closed_loop(b_jobs, args.validate)
+        stage_c_kill_resume(c_jobs, args.validate, tmp)
+        stage_d_breaker(d_jobs, args.validate)
     elapsed = time.monotonic() - started
     if FAILURES:
         print(f"\nFAILED ({len(FAILURES)}): " + "; ".join(FAILURES))

@@ -59,7 +59,6 @@ from repro.exec.cache import CacheIntegrityError, result_cache
 from repro.verify.differential import (
     DEFAULT_KERNELS,
     check_fuse_equivalence,
-    check_overlap_equivalence,
     check_policy_equivalence,
     check_shuffle_invariance,
 )
@@ -285,12 +284,6 @@ def main() -> int:
 
     print("verify check: fused-vs-unfused differential equivalence")
     failures += check_fuse_equivalence()
-
-    print("verify check: overlapped-vs-sequential differential equivalence "
-          "(plain, fused, chaos)")
-    failures += check_overlap_equivalence()
-    failures += check_overlap_equivalence(fuse=True)
-    failures += check_overlap_equivalence(fault_plan=_chaos_plan(kill_gpu=False))
 
     print(
         f"verify check: clean validated sweep "

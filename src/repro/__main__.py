@@ -103,7 +103,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache=args.cache,
         validate=args.validate,
         fuse=args.fuse,
-        overlap=args.overlap,
     )
     baseline_runtime = SHMTRuntime(
         platform_for("gpu-baseline"), make_scheduler("gpu-baseline"), config
@@ -224,7 +223,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         validate=args.validate,
         fuse=args.fuse,
-        overlap_jobs=args.overlap_jobs,
     )
     jobs = []
     import os
@@ -350,7 +348,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             ),
             validate=args.validate,
             fuse=args.fuse,
-            overlap_jobs=args.overlap_jobs,
         ),
     )
     trace = generate_trace(
@@ -589,14 +586,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="enable the HLOP fusion/batching pass in every job's run",
     )
-    serve_parser.add_argument(
-        "--overlap-jobs",
-        type=int,
-        default=1,
-        metavar="K",
-        help="jobs one worker drives concurrently through the overlap "
-        "driver (default: 1 = sequential workers)",
-    )
     serve_parser.set_defaults(handler=_cmd_serve)
 
     cluster_parser = sub.add_parser(
@@ -638,14 +627,6 @@ def main(argv=None) -> int:
         "--fuse",
         action="store_true",
         help="enable the HLOP fusion/batching pass in every shard's jobs",
-    )
-    cluster_parser.add_argument(
-        "--overlap-jobs",
-        type=int,
-        default=1,
-        metavar="K",
-        help="jobs one shard worker drives concurrently through the "
-        "overlap driver (default: 1)",
     )
     cluster_parser.add_argument(
         "--churn",

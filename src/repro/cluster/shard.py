@@ -92,9 +92,6 @@ class ShardSpec:
     validate: bool = False
     #: Enable the HLOP fusion/batching pass in every job's run.
     fuse: bool = False
-    #: Jobs one worker thread drives concurrently through the overlap
-    #: driver (see :class:`ServiceConfig.overlap_jobs`).
-    overlap_jobs: int = 1
     runtime_seed: int = 2023
     #: Seconds between heartbeats.
     heartbeat_interval: float = 0.05
@@ -237,7 +234,6 @@ def shard_main(
             fault_plan=spec.fault_plan,
             validate=spec.validate,
             fuse=spec.fuse,
-            overlap_jobs=spec.overlap_jobs,
             runtime_seed=spec.runtime_seed,
             on_finish=report,
         )

@@ -180,17 +180,8 @@ class Program:
             calls = [self._call_for(step, outputs) for step in level]
             # A level models *simulated* device sharing: its calls contend
             # on one engine's queues, and that contention is the result
-            # (Figure 1's utilization picture).  Pin the shared-engine
-            # path, bypassing execute_batch's wall-clock overlap mode --
-            # the overlap driver runs each call on a private timeline,
-            # which would erase the contention the level measures.
-            # Pinning does *not* forfeit the exec-layer optimizations:
-            # prepare_batch().execute() shares one backend across the
-            # level, so with ``fuse=True`` same-device HLOP runs chain
-            # across the level's calls (cross-job batching) and the
-            # result cache's in-flight joins dedupe identical blocks --
-            # both covered by regression tests in tests/core.
-            batch = runtime.prepare_batch(calls).execute()
+            # (Figure 1's utilization picture).
+            batch = runtime.execute_batch(calls)
             for step, report in zip(level, batch.reports):
                 reports[step.name] = report
                 outputs[step.name] = report.output

@@ -153,17 +153,6 @@ class RuntimeConfig:
     #: (:func:`repro.exec.cache.result_cache`).  Hits are bit-identical to
     #: recomputing, so this only changes wall-clock, never results.
     cache: bool = False
-    #: Drive a multi-call batch as independent *jobs* on one wall-clock
-    #: driver (see :mod:`repro.core.overlap`): each call keeps its own
-    #: virtual clock, trace, rng stream, and hlop-id space -- outputs and
-    #: per-job makespans are bit-identical to running the calls
-    #: back-to-back (pinned by
-    #: :func:`repro.verify.differential.check_overlap_equivalence`) --
-    #: while host dispatch, backend compute, and aggregation of
-    #: *different* jobs interleave in wall time.  Pool/process workers see
-    #: many jobs' tasks in flight at once, and with ``fuse`` the fusion
-    #: pass batches across jobs through the driver's submission batcher.
-    overlap: bool = False
     #: Run the :mod:`repro.verify` invariant checker over this run: HLOP
     #: conservation, tiling coverage, clock monotonicity, span containment
     #: and per-device serialization, queue conservation across steals, the
@@ -270,9 +259,9 @@ class SHMTRuntime:
         self.scheduler = scheduler
         self.config = config or RuntimeConfig()
         #: Compute backend for HLOP numerics (see :mod:`repro.exec`).  An
-        #: explicit ``backend`` lets several runtimes share one (the
-        #: overlap driver batches cross-runtime submissions through it);
-        #: results are backend-independent, so sharing is semantics-free.
+        #: explicit ``backend`` lets several runtimes share one (a DAG's
+        #: step runtimes do); results are backend-independent, so sharing
+        #: is semantics-free.
         self.backend = backend if backend is not None else make_backend(
             self.config.backend,
             jobs=self.config.jobs,
@@ -295,18 +284,12 @@ class SHMTRuntime:
         calls overlaps with device execution of earlier ones (the paper's
         Figure 1 execution picture).
         """
-        if not calls:
-            raise InvalidInput("execute_batch needs at least one call")
-        if self.config.overlap and len(calls) > 1:
-            return self._execute_overlapped(calls)
         return self.prepare_batch(calls).execute()
 
     def prepare_batch(self, calls: Sequence[VOPCall]) -> "_BatchRun":
         """Validate, plan, and stage ``calls`` without running the engine.
 
-        ``prepare_batch(calls).execute()`` is exactly ``execute_batch``;
-        the split exists so the overlap driver (:mod:`repro.core.overlap`)
-        can interleave several prepared runs' event loops on one thread.
+        ``prepare_batch(calls).execute()`` is exactly ``execute_batch``.
         """
         if not calls:
             raise InvalidInput("execute_batch needs at least one call")
@@ -333,34 +316,6 @@ class SHMTRuntime:
         check = RunChecker(recorder=obs) if self.config.validate else None
         return _BatchRun(
             runtime=self, units=units, devices=devices, obs=obs, check=check
-        )
-
-    def _execute_overlapped(self, calls: Sequence[VOPCall]) -> BatchReport:
-        """Run each call as its own job on the wall-clock overlap driver.
-
-        Each call gets a full private run (engine, trace, rng, recorder,
-        checker, hlop ids from zero), so its simulated timeline -- and
-        therefore its output and makespan -- is exactly what
-        ``execute_batch([call])`` produces.  Only *wall-clock* dispatch
-        interleaves: while one job waits on backend compute, the driver
-        advances another, and deferred submissions batch across jobs.
-        """
-        from repro.core.overlap import OverlapDriver, OverlapJob
-
-        for index, call in enumerate(calls):
-            self._validate_call(index, call)
-        jobs = [
-            OverlapJob(key=index, prepare=(lambda c=call: self.prepare_batch([c])))
-            for index, call in enumerate(calls)
-        ]
-        OverlapDriver().drive(jobs)
-        for job in jobs:
-            # Sequential semantics for failures: the earliest call's error
-            # wins (back-to-back execution would have raised it first).
-            if job.error is not None:
-                raise job.error
-        return merge_job_reports(
-            [job.report for job in jobs], self.platform.energy_model
         )
 
     # ----------------------------------------------------------------- helpers
@@ -512,50 +467,6 @@ class SHMTRuntime:
         return per_element_total + fixed_per_hlop * n_hlops
 
 
-def merge_job_reports(reports: List[BatchReport], energy_model) -> BatchReport:
-    """Combine per-job :class:`BatchReport`\\ s of an overlapped run.
-
-    Per-job artifacts (outputs, makespans, metrics, traces) pass through
-    untouched.  The batch-level view takes the *max* makespan -- the jobs
-    ran concurrently in wall time on independent virtual clocks -- sums
-    active energy, charges platform idle draw over the longest job only
-    (summing per-job idle would double-count the shared platform), and
-    concatenates traces and fault logs.  Per-job fault events keep their
-    local ``unit_id`` (0): call identity in the merged view comes from
-    report order, which follows call order.
-    """
-    makespan = max(report.makespan for report in reports)
-    trace = Trace()
-    per_device: Dict[str, float] = {}
-    active = 0.0
-    for report in reports:
-        trace.spans.extend(report.trace.spans)
-        trace.markers.extend(report.trace.markers)
-        active += report.energy.active_joules
-        for cls, joules in report.energy.per_device_active.items():
-            per_device[cls] = per_device.get(cls, 0.0) + joules
-    energy = EnergyBreakdown(
-        active_joules=active,
-        idle_joules=energy_model.idle_watts * makespan,
-        duration=makespan,
-        per_device_active=per_device,
-    )
-    return BatchReport(
-        reports=[r for report in reports for r in report.reports],
-        makespan=makespan,
-        trace=trace,
-        energy=energy,
-        steal_count=sum(r.steal_count for r in reports),
-        fault_events=sorted(
-            (e for r in reports for e in r.fault_events), key=lambda e: e.time
-        ),
-        retry_count=sum(r.retry_count for r in reports),
-        requeue_count=sum(r.requeue_count for r in reports),
-        degraded=any(r.degraded for r in reports),
-        metrics=None,
-    )
-
-
 class _BatchRun:
     """One simulated run: owns the event loop and per-device state."""
 
@@ -622,10 +533,6 @@ class _BatchRun:
             and self.faults is None
             and isinstance(backend, FusingBackend)
         )
-        #: Cross-job submission batcher (set by the overlap driver when
-        #: this run participates in an overlapped batch with fusion on).
-        #: ``None`` -- the default -- submits straight to the backend.
-        self.batcher: Optional[Any] = None
         #: Handles pre-computed by an earlier chain, keyed by hlop_id.
         #: Consumed when the member HLOP starts; discarded (and recomputed
         #: fresh) if a steal or re-queue moved it to another device, since
@@ -648,24 +555,6 @@ class _BatchRun:
     # ------------------------------------------------------------------- run
 
     def execute(self) -> BatchReport:
-        self.begin()
-        deadline = self.runtime.config.deadline
-        if deadline is None:
-            self.engine.run()
-        else:
-            # Cooperative cancellation: simulate up to the budget, then
-            # audit completion.  Events past the deadline stay unfired, so
-            # a cancelled run never charges work beyond the budget.
-            self.engine.run(until=deadline)
-        return self.finish()
-
-    def begin(self) -> None:
-        """Charge prologues and seed the event heap (no events fire yet).
-
-        ``begin()`` + drain the engine + ``finish()`` is exactly
-        :meth:`execute`; the overlap driver uses the split to pump several
-        runs' engines event-by-event on one thread.
-        """
         host_free = 0.0
         for unit in self.units:
             host_free = self._charge_unit_prologue(unit, host_free)
@@ -680,11 +569,14 @@ class _BatchRun:
                         lambda s=state: self._on_device_death(s),
                         kind=EventKind.DEVICE_DEATH,
                     )
-
-    def finish(self) -> BatchReport:
-        """Audit, aggregate, and report once the event heap is drained."""
         deadline = self.runtime.config.deadline
-        if deadline is not None:
+        if deadline is None:
+            self.engine.run()
+        else:
+            # Cooperative cancellation: simulate up to the budget, then
+            # audit completion.  Events past the deadline stay unfired, so
+            # a cancelled run never charges work beyond the budget.
+            self.engine.run(until=deadline)
             self._check_deadline(deadline)
         self._charge_epilogues()
         report = self._report()
@@ -1150,10 +1042,6 @@ class _BatchRun:
                     attempt=attempt,
                 ),
                 kind=EventKind.COMPUTE_DONE,
-                # The overlap driver peeks this to see whether the result
-                # has landed before firing the completion event; the
-                # sequential run loop never reads payloads.
-                payload=handle,
             )
         watchdog = None
         if self.faults is not None:
@@ -1208,11 +1096,6 @@ class _BatchRun:
                 return ResolvedHandle(stored, cached=True)
         if not self._fuse:
             return self.runtime.backend.submit(self._build_task(device, hlop, unit))
-        submit_group = (
-            self.batcher.submit_group
-            if self.batcher is not None
-            else self.runtime.backend.submit_group
-        )
         prefused = self._prefused.pop(hlop.hlop_id, None)
         if prefused is not None:
             submitted_on, handle = prefused
@@ -1240,7 +1123,7 @@ class _BatchRun:
             self._build_task(device, member, self._unit_of(member))
             for member in chain
         ]
-        handles = submit_group(tasks)
+        handles = self.runtime.backend.submit_group(tasks)
         if len(chain) > 1:
             for member, member_handle in zip(chain[1:], handles[1:]):
                 member.fused = True

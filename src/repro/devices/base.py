@@ -80,8 +80,8 @@ class Device(abc.ABC):
         Two devices with equal signatures produce bit-identical results
         for the same task, whichever instance runs it -- the fusion pass
         (:mod:`repro.exec.fuse`) relies on this to batch compatible tasks
-        *across* platform instances (concurrent jobs each build their own
-        platform).  A subclass whose ``execute_numeric`` reads more
+        that name distinct but identical device instances.  A subclass
+        whose ``execute_numeric`` reads more
         instance state than the precision path must extend the tuple.
         """
         return (type(self).__qualname__, self.device_class, str(self.precision))

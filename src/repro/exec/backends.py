@@ -66,23 +66,6 @@ class TaskHandle:
     def result(self) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def ready(self) -> bool:
-        """True when :meth:`result` would return without blocking.
-
-        The overlap driver polls this before firing a completion event so
-        a blocked job yields the thread to other jobs instead of joining.
-        Handles whose value exists at construction are always ready.
-        """
-        return True
-
-    def waitable(self) -> Optional["Future[np.ndarray]"]:
-        """The future to block on while not :meth:`ready` (else ``None``).
-
-        Lets a driver with every job blocked sleep on
-        :func:`concurrent.futures.wait` instead of spinning.
-        """
-        return None
-
 
 class ResolvedHandle(TaskHandle):
     """A handle whose value existed at submission (serial path, cache hit)."""
@@ -134,12 +117,6 @@ class FutureHandle(TaskHandle):
                     task=self._describe,
                 ) from error
         return self._value
-
-    def ready(self) -> bool:
-        return self._value is not None or self._future.done()
-
-    def waitable(self) -> Optional["Future[np.ndarray]"]:
-        return None if self._value is not None else self._future
 
 
 class ExecBackend(abc.ABC):

@@ -62,8 +62,8 @@ from repro.exec.task import ComputeTask, _callable_identity
 def _device_key(device: Any) -> Any:
     """Content signature of a device's numeric path (identity fallback).
 
-    Object identity would split equal tasks from concurrent jobs into
-    separate units just because each job built its own platform; the
+    Object identity would split equal tasks into separate units just
+    because they name distinct but identical device instances; the
     signature (see :meth:`repro.devices.base.Device.numeric_signature`)
     merges them, and :func:`_run_unit` may then execute the whole unit on
     any one member's device instance.
@@ -254,8 +254,8 @@ class FusingBackend(ExecBackend):
         groups: Dict[tuple, List[_Member]] = {}
         # Group-wide key dedup: two tasks with one cache key can sit in
         # *different* compatibility groups (the same block routed to a CPU
-        # core by one job and the GPU by another shares a key but not a
-        # device signature), so the in-unit dedup below cannot see them.
+        # core and to the GPU shares a key but not a device signature), so
+        # the in-unit dedup below cannot see them.
         # The duplicate joins the first member's eventual handle instead
         # of computing the unit twice.
         pending: Dict[str, int] = {}
@@ -275,8 +275,8 @@ class FusingBackend(ExecBackend):
                     continue
                 pending[key] = position
             # Content-based, not object-identity: equal-signature tasks
-            # from *different* platform instances (concurrent jobs under
-            # the overlap driver) land in one unit.  The device signature
+            # of different calls in one batch land in one unit even when
+            # their contexts are distinct objects.  The device signature
             # pins everything the numeric path reads, so any member's
             # device may execute the unit; context equality comes from the
             # content fingerprint when one exists ("" = unfingerprintable
@@ -417,9 +417,3 @@ class _JoinedHandle(TaskHandle):
 
     def result(self) -> np.ndarray:
         return self._leader.result()
-
-    def ready(self) -> bool:
-        return self._leader.ready()
-
-    def waitable(self):
-        return self._leader.waitable()

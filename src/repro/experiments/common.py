@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.overlap import OverlapDriver, OverlapJob
 from repro.core.result import ExecutionReport
 from repro.core.runtime import RuntimeConfig, SHMTRuntime
 from repro.core.schedulers.base import make_scheduler
@@ -30,7 +29,7 @@ from repro.devices.platform import (
     jetson_nano_platform,
 )
 from repro.devices.edgetpu import EdgeTPUDevice
-from repro.exec import fingerprint_array, fingerprint_value, make_backend, result_cache
+from repro.exec import fingerprint_array, fingerprint_value, result_cache
 from repro.metrics.stats import geometric_mean
 from repro.workloads.generator import Size, generate
 
@@ -63,12 +62,6 @@ QUALITY_POLICIES = (
 )
 
 BASELINE = "gpu-baseline"
-
-#: Jobs the overlapped prefetch keeps in flight at once.  The prefetch
-#: grid is kernel-major, so a window this size holds one kernel's whole
-#: policy lineup -- the same-kernel runs whose HLOPs the fusion pass can
-#: batch across jobs (their shapes and contexts match).
-OVERLAP_WINDOW = 16
 
 
 def platform_for(policy: str) -> Platform:
@@ -188,90 +181,22 @@ class ExperimentContext:
                 self._inflight.pop(key, None)
             pending.set()
 
-    def prefetch(
-        self,
-        pairs: Iterable[Tuple[str, str]],
-        jobs: Optional[int] = None,
-        references: bool = True,
-    ) -> None:
-        """Execute ``(kernel, policy)`` runs concurrently on worker threads.
+    def prefetch(self, pairs: Iterable[Tuple[str, str]], jobs: int) -> None:
+        """Execute ``(kernel, policy)`` runs on ``jobs`` worker threads.
 
-        The figure modules then read every result from the context's memo
-        -- this is the runner's ``--jobs`` fan-out across (experiment,
-        kernel, policy).  With ``jobs`` <= 1 the pairs run serially, which
-        is byte-identical to not prefetching at all.
+        The figure modules then read every result, and each kernel's
+        reference, from the context's memo -- this is the runner's
+        ``--jobs`` fan-out across (experiment, kernel, policy).
         """
         todo = [pair for pair in dict.fromkeys(pairs) if pair not in self._runs]
         kernels = list(dict.fromkeys(kernel for kernel, _ in todo))
-        if self.settings.runtime_config.overlap and todo:
-            # Latency-hiding path: one wall-clock driver interleaves the
-            # runs' event loops (repro.core.overlap) instead of fanning
-            # out threads.  Reports are bit-identical to sequential runs,
-            # so the memo the figure modules read is unchanged.
-            self._prefetch_overlapped(todo, kernels, references)
-            return
-        if not jobs or jobs <= 1:
-            for kernel, policy in todo:
-                self.run(kernel, policy)
-            if references:
-                for kernel in kernels:
-                    self.reference(kernel)
-            return
         with ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="repro-experiments"
         ) as pool:
             futures = [pool.submit(self.run, kernel, policy) for kernel, policy in todo]
-            if references:
-                futures.extend(pool.submit(self.reference, kernel) for kernel in kernels)
+            futures.extend(pool.submit(self.reference, kernel) for kernel in kernels)
             for future in futures:
                 future.result()
-
-    def _prefetch_overlapped(
-        self, todo: List[Tuple[str, str]], kernels: List[str], references: bool
-    ) -> None:
-        """Drive ``todo`` through the overlap driver on a shared backend.
-
-        Every run keeps its own platform, scheduler, and virtual clock
-        (exactly what :meth:`run` would build); only the compute backend
-        is shared, so fused submissions from concurrent jobs batch
-        together.  ``todo`` arrives kernel-major, and the driver admits
-        jobs in order, so the in-flight window is dominated by one
-        kernel's policies -- the cross-job batches with matching shapes.
-        """
-        config = self.settings.runtime_config
-        shared_backend = make_backend(
-            config.backend,
-            jobs=config.jobs,
-            cache=result_cache() if config.cache else None,
-            validate=config.validate,
-            fuse=config.fuse,
-        )
-
-        def job_for(kernel: str, policy: str) -> OverlapJob:
-            def prepare():
-                runtime = SHMTRuntime(
-                    platform_for(policy),
-                    make_scheduler(policy),
-                    config=config,
-                    backend=shared_backend,
-                )
-                return runtime.prepare_batch([self.call(kernel)])
-
-            def on_done(job: OverlapJob) -> None:
-                if job.error is None:
-                    with self._lock:
-                        self._runs[(kernel, policy)] = job.report.reports[0]
-
-            return OverlapJob(key=(kernel, policy), prepare=prepare, on_done=on_done)
-
-        jobs = [job_for(kernel, policy) for kernel, policy in todo]
-        OverlapDriver(window=OVERLAP_WINDOW).drive(jobs)
-        for job in jobs:
-            if job.error is not None:
-                raise job.error
-        if references:
-            for kernel in kernels:
-                self.reference(kernel)
 
     def speedup(self, kernel: str, policy: str) -> float:
         """End-to-end speedup over the GPU baseline (the paper's y-axis)."""

@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.experiments.common import (
-    BASELINE,
-    ExperimentContext,
-    ExperimentSettings,
-    FigureResult,
-)
+from repro.experiments.common import ExperimentContext, ExperimentSettings, FigureResult
 
 SHMT_POLICY = "QAWS-TS"
 FULL_RANGE = (4 * 2**10, 16 * 2**10, 64 * 2**10, 256 * 2**10, 2**20, 4 * 2**20, 16 * 2**20, 64 * 2**20)
@@ -50,18 +45,6 @@ def run(
         label = _size_label(size)
         values: List[float] = []
         sized = ExperimentContext(replace(settings, size=size))
-        # Warm the memo through prefetch: under --overlap this drives the
-        # size's whole (kernel x policy) set through one latency-hiding
-        # event loop; otherwise it runs serially, byte-identical to the
-        # bare loop below.
-        sized.prefetch(
-            [
-                (kernel, policy)
-                for kernel in kernels
-                for policy in (SHMT_POLICY, BASELINE)
-            ],
-            references=False,
-        )
         for kernel in kernels:
             values.append(sized.speedup(kernel, SHMT_POLICY))
         series[label] = values

@@ -19,13 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.overlap import OverlapDriver, OverlapJob
-from repro.core.runtime import ExecutionReport, SHMTRuntime
+from repro.core.runtime import SHMTRuntime
 from repro.core.schedulers.qaws import QAWS
-from repro.exec.backends import make_backend
-from repro.exec.cache import result_cache
 from repro.experiments.common import (
-    OVERLAP_WINDOW,
     ExperimentContext,
     ExperimentSettings,
     FigureResult,
@@ -34,58 +30,6 @@ from repro.experiments.common import (
 from repro.metrics.mape import MAPEReference, mape_percent
 
 DEFAULT_EXPONENTS = (-15, -14, -13, -12, -11, -10, -9, -8)
-
-
-def _sweep_scheduler(exponent: int) -> QAWS:
-    return QAWS(policy="topk", sampler="striding", sampling_rate=2.0**exponent)
-
-
-def _prefetch_sweep(
-    ctx: ExperimentContext,
-    exponents: Sequence[int],
-    kernels: Sequence[str],
-) -> Dict[Tuple[int, str], ExecutionReport]:
-    """Run the whole (exponent, kernel) sweep through the overlap driver.
-
-    QAWS schedulers are configuration-only (samplers draw from the run
-    context's rng), so giving each overlapped job a fresh instance is
-    bit-identical to the sequential loop's shared one.  Sharing a single
-    compute backend lets fused submissions batch across sweep points.
-    """
-    config = ctx.settings.runtime_config
-    shared_backend = make_backend(
-        config.backend,
-        jobs=config.jobs,
-        cache=result_cache() if config.cache else None,
-        validate=config.validate,
-        fuse=config.fuse,
-    )
-    reports: Dict[Tuple[int, str], ExecutionReport] = {}
-
-    def job_for(exponent: int, kernel: str) -> OverlapJob:
-        def prepare():
-            runtime = SHMTRuntime(
-                platform_for("QAWS-TS"),
-                _sweep_scheduler(exponent),
-                config=config,
-                backend=shared_backend,
-            )
-            return runtime.prepare_batch([ctx.call(kernel)])
-
-        def on_done(job: OverlapJob) -> None:
-            if job.error is None:
-                reports[(exponent, kernel)] = job.report.reports[0]
-
-        return OverlapJob(key=(exponent, kernel), prepare=prepare, on_done=on_done)
-
-    jobs = [
-        job_for(exponent, kernel) for exponent in exponents for kernel in kernels
-    ]
-    OverlapDriver(window=OVERLAP_WINDOW).drive(jobs)
-    for job in jobs:
-        if job.error is not None:
-            raise job.error
-    return reports
 
 
 def run(
@@ -101,28 +45,23 @@ def run(
     # The reference is fixed across the sampling-rate sweep; precompute
     # its MAPE fields once per kernel.
     references = {kernel: MAPEReference(ctx.reference(kernel)) for kernel in kernels}
-    overlapped: Dict[Tuple[int, str], ExecutionReport] = {}
-    if ctx.settings.runtime_config.overlap:
-        overlapped = _prefetch_sweep(ctx, exponents, kernels)
     # Adjacent sampling rates often yield identical schedules and hence
     # byte-identical outputs; with result caching enabled, score each
     # distinct output once.  Cache-off runs score everything independently.
     dedup = ctx.settings.runtime_config.cache
     scored: Dict[Tuple[str, bytes], float] = {}
     for exponent in exponents:
-        scheduler = _sweep_scheduler(exponent)
+        scheduler = QAWS(policy="topk", sampler="striding", sampling_rate=2.0**exponent)
         label = f"2^{exponent}"
         speedups: List[float] = []
         mapes: List[float] = []
         for kernel in kernels:
-            report = overlapped.get((exponent, kernel))
-            if report is None:
-                runtime = SHMTRuntime(
-                    platform_for("QAWS-TS"),
-                    scheduler,
-                    config=ctx.settings.runtime_config,
-                )
-                report = runtime.execute(ctx.call(kernel))
+            runtime = SHMTRuntime(
+                platform_for("QAWS-TS"),
+                scheduler,
+                config=ctx.settings.runtime_config,
+            )
+            report = runtime.execute(ctx.call(kernel))
             baseline = ctx.run(kernel, "gpu-baseline")
             speedups.append(report.speedup_over(baseline))
             score = None

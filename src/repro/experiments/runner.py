@@ -72,7 +72,7 @@ def run_all(
     shared = ExperimentContext(settings)
     timings: Dict[str, float] = {}
     suite_start = time.time()
-    if (jobs and jobs > 1) or settings.runtime_config.overlap:
+    if jobs and jobs > 1:
         start = time.time()
         shared.prefetch(prefetch_pairs(settings), jobs=jobs)
         timings["prefetch"] = time.time() - start
@@ -139,7 +139,6 @@ def apply_performance_args(
         cache=args.cache,
         validate=args.validate,
         fuse=args.fuse,
-        overlap=args.overlap,
     )
     return settings
 
@@ -170,15 +169,6 @@ def add_performance_args(parser: argparse.ArgumentParser) -> None:
         help="fuse compatible HLOP runs into single backend submissions "
         "and batch same-kernel work across concurrent calls "
         "(repro.exec.fuse); results stay bit-identical",
-    )
-    parser.add_argument(
-        "--overlap",
-        action="store_true",
-        help="drive concurrent jobs through one wall-clock event loop "
-        "(repro.core.overlap): transfers, backend compute, and "
-        "aggregation of different jobs overlap, and with --fuse the "
-        "fusion pass batches across jobs; per-job outputs and makespans "
-        "stay bit-identical",
     )
     parser.add_argument(
         "--validate",

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.control import RunControl
-from repro.core.overlap import OverlapDriver, OverlapJob
 from repro.core.runtime import RuntimeConfig, SHMTRuntime
 from repro.core.schedulers.base import make_scheduler
 from repro.core.schedulers.qos import scheduler_for_qos
@@ -85,13 +84,6 @@ class ServiceConfig:
     #: fusion automatically when a chaos plan is active), so this only
     #: changes wall-clock throughput.
     fuse: bool = False
-    #: Jobs one worker drives concurrently through the overlap driver
-    #: (:mod:`repro.core.overlap`).  1 = classic one-job-at-a-time
-    #: workers; K > 1 lets a worker pull up to K queued jobs at once and
-    #: interleave their event loops, so transfers, backend compute, and
-    #: aggregation of different jobs overlap in wall time.  Results,
-    #: journal records, and terminal states are bit-identical either way.
-    overlap_jobs: int = 1
     #: Runtime seed shared by every run (job-specific randomness comes
     #: from the spec's workload seed; this one drives scheduling RNG).
     runtime_seed: int = 2023
@@ -106,8 +98,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.overlap_jobs < 1:
-            raise ValueError("overlap_jobs must be >= 1")
 
 
 class _ServiceControl(RunControl):
@@ -358,7 +348,6 @@ class ShmtService:
     # ------------------------------------------------------------ worker loop
 
     def _worker(self) -> None:
-        batch_size = self.config.overlap_jobs
         while True:
             if self._killed:
                 return
@@ -367,87 +356,66 @@ class ShmtService:
                 if self._stopping or self._killed:
                     return
                 continue
-            batch = [job]
-            while len(batch) < batch_size:
-                extra = self.queue.get(timeout=0)
-                if extra is None:
-                    break
-                batch.append(extra)
-            if len(batch) == 1:
-                self._run_job(batch[0])
-            else:
-                self._run_overlapped(batch)
+            self._run_job(job)
 
-    def _prepare_run(self, job: Job):
-        """Build one job's prepared run (everything before the event loop).
-
-        Shared by the sequential and overlapped paths so both run the
-        identical setup: platform, frozen blocked set, journal start
-        record, control hooks, scheduler, runtime, and workload.
-        """
+    def _run_job(self, job: Job) -> None:
         spec = job.spec
-        platform = self.config.platform_factory()
-        names = [d.name for d in platform.devices]
-        forced = self._forced_blocked.pop(spec.job_id, None)
-        if forced is not None:
-            blocked = sorted(set(forced) & set(names))
-        else:
-            blocked = sorted(self.breakers.blocked(names))
-        job.blocked = blocked
-        if self.checkpoint is not None:
-            self.checkpoint.job_start(spec, blocked)
-        control = _ServiceControl(
-            self,
-            job,
-            frozenset(blocked),
-            self._preloaded.pop(spec.job_id, {}),
-        )
-        scheduler = (
-            make_scheduler(spec.policy)
-            if spec.policy
-            else scheduler_for_qos(spec.qos_class)
-        )
-        runtime = SHMTRuntime(
-            platform,
-            scheduler,
-            config=RuntimeConfig(
-                seed=self.config.runtime_seed,
-                deadline=spec.deadline,
-                control=control,
-                fault_plan=self.config.fault_plan,
-                validate=self.config.validate,
-                fuse=self.config.fuse,
-            ),
-        )
-        call = generate(spec.kernel, size=spec.size, seed=spec.seed)
-        return runtime.prepare_batch([call])
-
-    def _complete(self, job: Job, batch_report, error, started: float) -> None:
-        """Drive one settled job to its terminal state (both paths)."""
-        spec = job.spec
-        if error is not None:
-            if isinstance(error, DeadlineExceeded):
-                self._count(
-                    "serve_jobs_deadline_cancelled_total", tenant=spec.tenant
-                )
-                self._journal_end(job, "deadline", error_code=error.code)
-                job.finish(JobState.DEADLINE, error=error)
-            elif isinstance(error, ServiceKilled):
-                # The crash drill fired mid-run: the journal keeps every
-                # HLOP committed so far; the job stays non-terminal for
-                # resume.
-                pass
+        job.state = JobState.RUNNING
+        self._gauge_depth()
+        started = time.monotonic()
+        try:
+            platform = self.config.platform_factory()
+            names = [d.name for d in platform.devices]
+            forced = self._forced_blocked.pop(spec.job_id, None)
+            if forced is not None:
+                blocked = sorted(set(forced) & set(names))
             else:
-                self._count("serve_jobs_failed_total", tenant=spec.tenant)
-                self._journal_end(
-                    job,
-                    "failed",
-                    error_code=getattr(error, "code", "UNCLASSIFIED"),
-                )
-                job.finish(JobState.FAILED, error=error)
+                blocked = sorted(self.breakers.blocked(names))
+            job.blocked = blocked
+            if self.checkpoint is not None:
+                self.checkpoint.job_start(spec, blocked)
+            control = _ServiceControl(
+                self,
+                job,
+                frozenset(blocked),
+                self._preloaded.pop(spec.job_id, {}),
+            )
+            scheduler = (
+                make_scheduler(spec.policy)
+                if spec.policy
+                else scheduler_for_qos(spec.qos_class)
+            )
+            runtime = SHMTRuntime(
+                platform,
+                scheduler,
+                config=RuntimeConfig(
+                    seed=self.config.runtime_seed,
+                    deadline=spec.deadline,
+                    control=control,
+                    fault_plan=self.config.fault_plan,
+                    validate=self.config.validate,
+                    fuse=self.config.fuse,
+                ),
+            )
+            call = generate(spec.kernel, size=spec.size, seed=spec.seed)
+            report = runtime.execute(call)
+        except DeadlineExceeded as error:
+            self._count("serve_jobs_deadline_cancelled_total", tenant=spec.tenant)
+            self._journal_end(job, "deadline", error_code=error.code)
+            job.finish(JobState.DEADLINE, error=error)
+            return
+        except ServiceKilled:
+            # The crash drill fired mid-run: the journal keeps every HLOP
+            # committed so far; the job stays non-terminal for resume.
+            return
+        except Exception as error:  # noqa: BLE001 - job isolation boundary
+            self._count("serve_jobs_failed_total", tenant=spec.tenant)
+            self._journal_end(
+                job, "failed", error_code=getattr(error, "code", "UNCLASSIFIED")
+            )
+            job.finish(JobState.FAILED, error=error)
             return
         wall = time.monotonic() - started
-        report = batch_report.reports[0]
         fingerprint = fingerprint_array(report.output)
         result = JobResult(
             fingerprint=fingerprint,
@@ -468,63 +436,6 @@ class ShmtService:
                 wall, qos=spec.qos_class
             )
         job.finish(JobState.DONE, result=result, output=report.output)
-
-    def _run_job(self, job: Job) -> None:
-        job.state = JobState.RUNNING
-        self._gauge_depth()
-        started = time.monotonic()
-        try:
-            batch_report = self._prepare_run(job).execute()
-        except Exception as error:  # noqa: BLE001 - job isolation boundary
-            self._complete(job, None, error, started)
-            return
-        self._complete(job, batch_report, None, started)
-
-    def _run_overlapped(self, batch: List[Job]) -> None:
-        """Drive ``batch`` through one overlap driver (K jobs per worker).
-
-        Each job keeps its own platform, control hooks, and journal
-        records; only wall-clock dispatch interleaves.  Jobs settle --
-        and reach their terminal states -- the moment they finish, not
-        when the whole batch drains.  :class:`ServiceKilled` is fatal to
-        the batch: unfinished siblings stay non-terminal, exactly the
-        state a mid-run SIGKILL leaves for :meth:`resume`.
-        """
-        started: Dict[str, float] = {}
-
-        def overlap_job(job: Job) -> OverlapJob:
-            def prepare():
-                job.state = JobState.RUNNING
-                self._gauge_depth()
-                started[job.spec.job_id] = time.monotonic()
-                return self._prepare_run(job)
-
-            def on_done(ojob: OverlapJob) -> None:
-                self._complete(
-                    job,
-                    ojob.report,
-                    ojob.error,
-                    started.get(job.spec.job_id, time.monotonic()),
-                )
-
-            return OverlapJob(
-                key=job.spec.job_id, prepare=prepare, on_done=on_done
-            )
-
-        driver = OverlapDriver(window=len(batch), fatal=(ServiceKilled,))
-        try:
-            driver.drive([overlap_job(job) for job in batch])
-        except ServiceKilled:
-            return
-        finally:
-            stats = driver.stats
-            with self._metrics_lock:
-                self.metrics.counter("serve_overlap_batches_total").inc(
-                    1, size=str(stats.jobs)
-                )
-                self.metrics.counter("serve_overlap_events_total").inc(
-                    stats.events_stepped
-                )
 
     # ------------------------------------------------------------- run hooks
 

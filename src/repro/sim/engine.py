@@ -104,48 +104,6 @@ class Engine:
         """Schedule ``callback`` at absolute simulated ``time``."""
         return self.schedule(time - self._now, callback, kind=kind, payload=payload)
 
-    def peek(self) -> Optional[Event]:
-        """The next live event, without firing it.
-
-        Cancelled events at the top of the heap are discarded (and counted
-        as skipped) exactly as :meth:`run` would.  Returns ``None`` when no
-        live event remains.  External drivers use this to decide whether
-        the next event is *ready* to fire (e.g. its compute handle has
-        resolved) before committing to :meth:`step`.
-        """
-        while self._heap:
-            if self._heap[0].cancelled:
-                heapq.heappop(self._heap)
-                self._skipped += 1
-                continue
-            return self._heap[0]
-        return None
-
-    def step(self) -> bool:
-        """Fire exactly one live event; ``False`` when the heap is empty.
-
-        The single-event counterpart of :meth:`run`: clock advance,
-        monotonicity check, listener notification, and accounting are all
-        identical, so a run driven event-by-event (the multi-job overlap
-        driver interleaving several engines on one thread) replays the
-        same timeline :meth:`run` would produce.
-        """
-        event = self.peek()
-        if event is None:
-            return False
-        heapq.heappop(self._heap)
-        if event.time < self._now - TIME_TOLERANCE:
-            raise SimulationError(
-                f"event at t={event.time} fired after clock reached {self._now}"
-            )
-        self._now = max(self._now, event.time)
-        if self.clock_listener is not None:
-            self.clock_listener(self._now)
-        self._fired += 1
-        if event.callback is not None:
-            event.callback()
-        return True
-
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Drain the event heap; return the final simulated time.
 

@@ -182,89 +182,6 @@ def check_fuse_equivalence(
     return failures
 
 
-def check_overlap_equivalence(
-    kernels: Sequence[Tuple[str, object]] = DEFAULT_KERNELS,
-    seed: int = 7,
-    partition: Optional[PartitionConfig] = None,
-    fault_plan=None,
-    policies: Sequence[str] = ("work-stealing", "QAWS-TS"),
-    fuse: bool = False,
-    validate: bool = True,
-) -> List[str]:
-    """Overlapped multi-job execution must match sequential runs bitwise.
-
-    The overlap driver (:mod:`repro.core.overlap`) interleaves the
-    *wall-clock* dispatch of many jobs' event loops; each job's virtual
-    timeline must be untouched.  The sequential reference for a batch of
-    calls is one run per call (``execute_batch([call])`` -- each
-    overlapped job owns its own engine, rng stream, and HLOP id space,
-    exactly like a single-call batch).  Outputs, per-job makespans, and
-    degradation flags must all be bit-identical, with or without a chaos
-    ``fault_plan`` and with or without fusion -- divergence means the
-    interleaving leaked into a job's schedule, rng, or numerics.
-    """
-    from repro.devices.platform import jetson_nano_platform
-
-    partition = partition or PartitionConfig(target_partitions=16)
-    failures: List[str] = []
-    for policy in policies:
-
-        def platform() -> Platform:
-            return (
-                exact_platform()
-                if policy in EXACT_POLICIES
-                else jetson_nano_platform()
-            )
-
-        base = dict(
-            partition=partition,
-            seed=seed,
-            validate=validate,
-            fault_plan=fault_plan,
-            fuse=fuse,
-        )
-        sequential = [
-            SHMTRuntime(
-                platform(), make_scheduler(policy), RuntimeConfig(**base)
-            ).execute_batch([generate(kernel, size=size, seed=seed)])
-            for kernel, size in kernels
-        ]
-        overlapped = SHMTRuntime(
-            platform(), make_scheduler(policy), RuntimeConfig(overlap=True, **base)
-        ).execute_batch(
-            [generate(kernel, size=size, seed=seed) for kernel, size in kernels]
-        )
-        if len(overlapped.reports) != len(kernels):
-            failures.append(
-                f"{policy}: overlapped batch returned "
-                f"{len(overlapped.reports)} reports for {len(kernels)} calls"
-            )
-            continue
-        tags = ("+fuse" if fuse else "") + ("+faults" if fault_plan else "")
-        for (kernel, _), seq_batch, job in zip(
-            kernels, sequential, overlapped.reports
-        ):
-            reference = seq_batch.reports[0]
-            where = f"{kernel}/{policy}{tags}"
-            if not np.array_equal(job.output, reference.output):
-                diverging = int(np.count_nonzero(job.output != reference.output))
-                failures.append(
-                    f"{where}: {diverging} of {job.output.size} output elements "
-                    "differ between overlapped and sequential execution"
-                )
-            if job.makespan != reference.makespan:
-                failures.append(
-                    f"{where}: overlapped makespan {job.makespan} != sequential "
-                    f"{reference.makespan} (overlap leaked into the timeline)"
-                )
-            if job.degraded != reference.degraded:
-                failures.append(
-                    f"{where}: degraded flag {job.degraded} != sequential "
-                    f"{reference.degraded}"
-                )
-    return failures
-
-
 def check_dag_equivalence(
     side: int = 96,
     seed: int = 7,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.verify.differential import (
     _hlop_seed,
+    check_fuse_equivalence,
     check_policy_equivalence,
     check_shuffle_invariance,
     exact_platform,
@@ -27,6 +28,12 @@ def test_quantized_path_shuffle_invariant():
 
 def test_shuffle_invariance_all_default_kernels():
     assert check_shuffle_invariance() == []
+
+
+def test_fuse_equivalence_all_default_kernels():
+    """Fused runs (serial and pool backends) match unfused runs bitwise,
+    outputs and makespans, across the default differential grid."""
+    assert check_fuse_equivalence() == []
 
 
 def test_hlop_seed_depends_only_on_identity():
