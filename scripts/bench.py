@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Wall-clock benchmark harness for the compute-backend subsystem.
 
-Runs the experiment suite three times -- the ``serial`` backend with
-the result cache off (the historical configuration), the ``pool``
-backend with the cross-run cache on (the PR 3 configuration), and cache
-*and* the HLOP fusion/batching pass (``--fuse``, PR 7) -- and records
-wall-clock per experiment, per-leg totals, cache and fusion statistics,
-and a ``repro.obs`` phase profile of a representative observed run.
+Runs the experiment suite three times -- the ``serial`` backend, the
+``pool`` backend, and the HLOP fusion/batching pass (``--fuse``, PR 7)
+-- and records wall-clock per experiment, per-leg totals, fusion
+statistics, and a ``repro.obs`` phase profile of a representative
+observed run.  Every leg shares HLOP results within its own sweep
+(``run_all``'s one result store), so the legs differ only in where the
+numerics run and whether they fuse.
 With ``--repeat N`` the legs run as N paired rounds and the reported
 speedups come from the best single round, so both ends of every ratio
 are measured in the same machine-speed window (per-round walls are kept
@@ -16,12 +17,15 @@ ready-schedule makespan ratio over serial step-at-a-time execution
 (``speedup_dag_over_serial``); simulated ratios are deterministic, so
 they are computed once outside the paired rounds.  The perf trajectory
 lives in ``BENCH_pr3.json`` -> ``BENCH_pr7.json`` -> ``BENCH_pr8.json``
--> ``BENCH_pr9.json`` -> ``BENCH_pr17.json``.
+-> ``BENCH_pr9.json`` -> ``BENCH_pr17.json`` -> ``BENCH_pr20.json``.  Up to
+``BENCH_pr17.json`` the serial leg ran without any result sharing and the
+pool and fuse legs with the process-wide cache, so their ratios measured
+mostly the cache; from ``BENCH_pr20.json`` on every leg shares equally.
 
 Usage::
 
     PYTHONPATH=src python scripts/bench.py --quick --jobs 1 --repeat 5   # measure
-    PYTHONPATH=src python scripts/bench.py --quick --jobs 1 --repeat 5 --check BENCH_pr17.json
+    PYTHONPATH=src python scripts/bench.py --quick --jobs 1 --repeat 5 --check BENCH_pr20.json
 
 The fresh record goes to ``--out`` (default ``BENCH_latest.fresh.json``,
 which ``.gitignore`` covers), so a measurement never overwrites a
@@ -34,7 +38,7 @@ more than one worker the fuse leg runs on the pool backend, so the two
 records would measure different things.  Otherwise it exits non-zero
 when
 
-* the pool+cache leg is slower than the serial leg,
+* the pool leg is slower than the serial leg,
 * the fused leg is slower than the un-fused pool leg (fusion must pay for
   itself),
 * the best DAG policy fails to beat serial step-at-a-time on simulated
@@ -70,7 +74,6 @@ from repro.core.partition import PartitionConfig
 from repro.core.runtime import RuntimeConfig, SHMTRuntime
 from repro.core.schedulers.base import make_scheduler
 from repro.devices.platform import jetson_nano_platform
-from repro.exec.cache import result_cache
 from repro.exec.fuse import arena, fuse_stats, reset_fuse_stats
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.runner import run_all
@@ -79,14 +82,13 @@ from repro.workloads.generator import generate
 SCHEMA = "repro.bench/v1"
 
 
-def _leg_settings(args, backend: str, cache: bool, fuse: bool) -> ExperimentSettings:
+def _leg_settings(args, backend: str, fuse: bool) -> ExperimentSettings:
     settings = ExperimentSettings(seed=args.seed)
     if args.quick:
         settings.size = 512 * 512
     settings.runtime_config = RuntimeConfig(
         backend=backend,
         jobs=args.jobs,
-        cache=cache,
         validate=args.validate,
         fuse=fuse,
     )
@@ -94,7 +96,7 @@ def _leg_settings(args, backend: str, cache: bool, fuse: bool) -> ExperimentSett
 
 
 def _phase_profile(
-    backend: str, cache: bool, jobs, seed: int, validate: bool = False, fuse: bool = False
+    backend: str, jobs, seed: int, validate: bool = False, fuse: bool = False
 ) -> dict:
     """Simulated per-(phase, resource) seconds of one observed QAWS-TS run."""
     config = RuntimeConfig(
@@ -102,7 +104,6 @@ def _phase_profile(
         observe=True,
         backend=backend,
         jobs=jobs,
-        cache=cache,
         validate=validate,
         fuse=fuse,
     )
@@ -114,24 +115,19 @@ def _phase_profile(
     }
 
 
-def _run_leg(
-    args, name: str, backend: str, cache: bool, jobs, fuse: bool = False
-) -> dict:
-    if cache:
-        result_cache().clear()
+def _run_leg(args, name: str, backend: str, jobs, fuse: bool = False) -> dict:
     if fuse:
         reset_fuse_stats()
-    settings = _leg_settings(args, backend, cache, fuse)
-    # Collect the previous leg's garbage (dead engines, freed result-cache
-    # entries) outside the timed region so one leg's allocation debris
-    # does not bill the next leg's wall clock.
+    settings = _leg_settings(args, backend, fuse)
+    # Collect the previous leg's garbage (dead engines, the previous
+    # sweep's result store) outside the timed region so one leg's
+    # allocation debris does not bill the next leg's wall clock.
     gc.collect()
     start = time.time()
     timings = run_all(settings, out=io.StringIO(), jobs=jobs)
     wall = time.time() - start
     leg = {
         "backend": backend,
-        "cache": cache,
         "fuse": fuse,
         "jobs": jobs,
         # The worker count this leg actually ran with (``jobs: null``
@@ -142,14 +138,12 @@ def _run_leg(
         "wall_seconds": round(wall, 3),
         "experiments": {k: round(v, 3) for k, v in timings.items()},
     }
-    if cache:
-        leg["cache_stats"] = result_cache().stats.as_dict()
     if fuse:
         leg["fuse_stats"] = fuse_stats().as_dict()
         leg["arena_stats"] = arena().as_dict()
     print(
         f"  {name:<12} {wall:7.1f}s  "
-        f"(backend={backend}, cache={cache}, fuse={fuse}, jobs={jobs})"
+        f"(backend={backend}, fuse={fuse}, jobs={jobs})"
     )
     return leg
 
@@ -235,7 +229,7 @@ def resolved_jobs(args) -> int:
 def measure(args) -> dict:
     print(f"benchmarking the {'quick ' if args.quick else ''}experiment suite:")
     jobs = resolved_jobs(args)
-    # The fused leg measures cache+fusion at the machine's best worker
+    # The fused leg measures fusion at the machine's best worker
     # configuration: with a single worker the pool's thread handoff is
     # pure overhead, so fusion runs on the serial backend (identical
     # semantics -- FusingBackend wraps either).
@@ -249,11 +243,9 @@ def measure(args) -> dict:
     for index in range(max(1, args.repeat)):
         if index:
             print(f"  --- round {index + 1} ---")
-        serial = _run_leg(args, "serial", "serial", cache=False, jobs=None)
-        pool = _run_leg(args, "pool+cache", "pool", cache=True, jobs=jobs)
-        fused = _run_leg(
-            args, "cache+fuse", fuse_backend, cache=True, jobs=jobs, fuse=True
-        )
+        serial = _run_leg(args, "serial", "serial", jobs=None)
+        pool = _run_leg(args, "pool", "pool", jobs=jobs)
+        fused = _run_leg(args, "fuse", fuse_backend, jobs=jobs, fuse=True)
         speedup = serial["wall_seconds"] / max(pool["wall_seconds"], 1e-9)
         fuse_speedup = serial["wall_seconds"] / max(fused["wall_seconds"], 1e-9)
         rounds.append(
@@ -267,18 +259,14 @@ def measure(args) -> dict:
     serial, pool, fused = (best["legs"][k] for k in ("serial", "pool", "fuse"))
     # The phase profiles are deterministic simulated-time attributions --
     # one per leg configuration, attached after the timed rounds.
-    serial["phase_profile"] = _phase_profile(
-        "serial", False, None, args.seed, args.validate
-    )
-    pool["phase_profile"] = _phase_profile(
-        "pool", True, jobs, args.seed, args.validate
-    )
+    serial["phase_profile"] = _phase_profile("serial", None, args.seed, args.validate)
+    pool["phase_profile"] = _phase_profile("pool", jobs, args.seed, args.validate)
     fused["phase_profile"] = _phase_profile(
-        fuse_backend, True, jobs, args.seed, args.validate, fuse=True
+        fuse_backend, jobs, args.seed, args.validate, fuse=True
     )
     dag = _dag_leg(args)
-    print(f"  pool+cache speedup over serial: {best['speedup_pool_over_serial']:.2f}x")
-    print(f"  cache+fuse speedup over serial: {best['speedup_fuse_over_serial']:.2f}x")
+    print(f"  pool speedup over serial: {best['speedup_pool_over_serial']:.2f}x")
+    print(f"  fuse speedup over serial: {best['speedup_fuse_over_serial']:.2f}x")
     print(
         f"  dag ready-schedule speedup over serial (simulated): "
         f"{dag['speedup_dag_over_serial']:.2f}x"
@@ -381,7 +369,7 @@ def check(record: dict, baseline: dict, tolerance: float) -> int:
     speedup = _best_ratio(record, "speedup_pool_over_serial")
     if speedup < 1.0:
         failures.append(
-            f"pool+cache leg is slower than serial (speedup {speedup:.2f}x < 1.0x)"
+            f"pool leg is slower than serial (speedup {speedup:.2f}x < 1.0x)"
         )
     fuse_speedup = _best_ratio(record, "speedup_fuse_over_serial")
     if fuse_speedup is not None and fuse_speedup < speedup:

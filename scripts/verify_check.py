@@ -38,6 +38,7 @@ import contextlib
 import os
 import sys
 import time
+from typing import Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -50,12 +51,13 @@ from repro import (
     Straggler,
     TransientFaults,
     jetson_nano_platform,
+    make_backend,
     make_scheduler,
     scheduler_names,
 )
 from repro.core.partition import Partition, PartitionConfig
 from repro.core import runtime as runtime_module
-from repro.exec.cache import CacheIntegrityError, result_cache
+from repro.exec.cache import CacheIntegrityError, ResultCache
 from repro.verify.differential import (
     DEFAULT_KERNELS,
     check_fuse_equivalence,
@@ -181,29 +183,22 @@ def _fixture_overlap_tile():
 
 @contextlib.contextmanager
 def _fixture_cache_poison():
-    """Flip bits in a stored cache entry after its fingerprint was taken."""
-    cache = result_cache()
-    cache.clear()
-    config = RuntimeConfig(
-        partition=PartitionConfig(target_partitions=16),
-        seed=7,
-        validate=True,
-        cache=True,
-    )
-    runtime = SHMTRuntime(jetson_nano_platform(), make_scheduler("QAWS-TS"), config)
-    runtime.execute(generate("fft", size=(128, 128), seed=7))
-    with cache._lock:
-        key = next(iter(cache._entries))
-        entry = cache._entries[key]
+    """Flip bits in a stored cache entry after its fingerprint was taken.
+
+    Yields the poisoned store for the canned run to compute over, the way
+    the runtimes of one experiment sweep share theirs.
+    """
+    store = ResultCache()
+    _canned_run(store)
+    with store._lock:
+        key = next(iter(store._entries))
+        entry = store._entries[key]
     entry.flags.writeable = True
     try:
         entry[(0,) * entry.ndim] += 1.0
     finally:
         entry.flags.writeable = False
-    try:
-        yield
-    finally:
-        cache.clear()
+    yield store
 
 
 FIXTURES = {
@@ -214,16 +209,23 @@ FIXTURES = {
 }
 
 
-def _canned_run(name: str) -> None:
-    """The validated run every fixture is injected into."""
-    cache = name == "cache-poison"
+def _canned_run(store: Optional[ResultCache] = None) -> None:
+    """The validated run every fixture is injected into.
+
+    ``store`` is the result store its backend computes over; only the
+    cache-poison fixture yields one.
+    """
     config = RuntimeConfig(
         partition=PartitionConfig(target_partitions=16),
         seed=7,
         validate=True,
-        cache=cache,
     )
-    runtime = SHMTRuntime(jetson_nano_platform(), make_scheduler("QAWS-TS"), config)
+    runtime = SHMTRuntime(
+        jetson_nano_platform(),
+        make_scheduler("QAWS-TS"),
+        config,
+        backend=make_backend("serial", cache=store, validate=True),
+    )
     runtime.execute(generate("fft", size=(128, 128), seed=7))
 
 
@@ -232,8 +234,8 @@ def fixture_self_test() -> list:
     failures = []
     for name, (fixture, expected) in FIXTURES.items():
         try:
-            with fixture():
-                _canned_run(name)
+            with fixture() as store:
+                _canned_run(store)
         except (InvariantViolation, CacheIntegrityError) as caught:
             if expected not in str(caught):
                 failures.append(
@@ -268,8 +270,8 @@ def main() -> int:
     if args.inject:
         fixture, _ = FIXTURES[args.inject]
         print(f"verify check: running with injected fixture {args.inject!r}")
-        with fixture():
-            _canned_run(args.inject)  # must raise -> traceback, exit != 0
+        with fixture() as store:
+            _canned_run(store)  # must raise -> traceback, exit != 0
         print("ERROR: the injected violation was not detected", file=sys.stderr)
         return 1
 

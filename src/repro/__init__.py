@@ -43,7 +43,6 @@ from repro.exec import (
     ResultCache,
     backend_names,
     make_backend,
-    result_cache,
 )
 from repro.faults import (
     DeviceDeath,
@@ -114,7 +113,6 @@ __all__ = [
     "ResultCache",
     "backend_names",
     "make_backend",
-    "result_cache",
     "DeviceDeath",
     "FaultEvent",
     "FaultKind",

@@ -100,7 +100,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         observe=bool(args.metrics),
         backend=args.backend,
         jobs=args.jobs,
-        cache=args.cache,
         validate=args.validate,
         fuse=args.fuse,
     )

@@ -52,7 +52,7 @@ from repro.devices.energy import EnergyBreakdown
 from repro.devices.platform import Platform
 from repro.errors import DeadlineExceeded, DeviceFault, InvalidInput
 from repro.exec.backends import ResolvedHandle, TaskHandle, make_backend
-from repro.exec.cache import CacheIntegrityError, result_cache
+from repro.exec.cache import CacheIntegrityError
 from repro.exec.fuse import FusingBackend
 from repro.exec.task import ComputeTask, fingerprint_value
 from repro.faults.injector import FaultInjector
@@ -149,10 +149,6 @@ class RuntimeConfig:
     #: suspended for runs with an active fault plan, where per-attempt
     #: injection decisions must stay interleaved with submissions.
     fuse: bool = False
-    #: Consult/populate the process-wide content-addressed result cache
-    #: (:func:`repro.exec.cache.result_cache`).  Hits are bit-identical to
-    #: recomputing, so this only changes wall-clock, never results.
-    cache: bool = False
     #: Run the :mod:`repro.verify` invariant checker over this run: HLOP
     #: conservation, tiling coverage, clock monotonicity, span containment
     #: and per-device serialization, queue conservation across steals, the
@@ -260,12 +256,12 @@ class SHMTRuntime:
         self.config = config or RuntimeConfig()
         #: Compute backend for HLOP numerics (see :mod:`repro.exec`).  An
         #: explicit ``backend`` lets several runtimes share one (a DAG's
-        #: step runtimes do); results are backend-independent, so sharing
-        #: is semantics-free.
+        #: step runtimes do) or share a result store (an experiment
+        #: sweep's runtimes do); results are backend-independent, so
+        #: sharing is semantics-free.  The default backend has no store.
         self.backend = backend if backend is not None else make_backend(
             self.config.backend,
             jobs=self.config.jobs,
-            cache=result_cache() if self.config.cache else None,
             validate=self.config.validate,
             fuse=self.config.fuse,
         )
@@ -423,19 +419,22 @@ class SHMTRuntime:
         data = call.data
         if spec.model is not ParallelModel.TILE or not spec.halo:
             return data
-        if self.config.cache:
+        cache = self.backend.cache
+        if cache is not None:
             # Every run of the same input re-pads it identically; share
-            # the (frozen) pad through the result cache.  Downstream only
+            # the (frozen) pad through the backend's result store, audited
+            # like the blocks when the backend validates.  Downstream only
             # ever slices read-only views out of it, same as any cached
             # block, so freezing is safe.
             fp = call.data_fingerprint()
             if fp is not None:
                 key = f"pad1:{fp}:halo={spec.halo}"
-                cache = result_cache()
-                hit = cache.get(key)
+                verify = self.backend.validate
+                hit = cache.get(key, verify=verify)
                 if hit is not None:
                     return hit
-                return cache.put(key, replicate_pad(data, spec.halo))
+                pad = replicate_pad(data, spec.halo)
+                return cache.put(key, pad, fingerprint=verify)
         return replicate_pad(data, spec.halo)
 
     def _validate_plan(
@@ -1186,7 +1185,7 @@ class _BatchRun:
             result = self.faults.corrupt_output(
                 result, device.name, hlop.hlop_id, attempt
             )
-        if self.obs.enabled and self.runtime.config.cache:
+        if self.obs.enabled and self.runtime.backend.cache is not None:
             self.obs.count(
                 "exec_cache_hits_total" if handle.cached else "exec_cache_misses_total",
                 1,

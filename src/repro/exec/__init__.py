@@ -8,11 +8,11 @@ split applied to this reproduction.  Three pieces:
   work, plus content fingerprinting;
 * :mod:`repro.exec.backends` -- ``serial`` / ``pool`` / ``process``
   backends behind one ``submit() -> TaskHandle`` interface;
-* :mod:`repro.exec.cache` -- the content-addressed, cross-run
-  :class:`ResultCache`.
+* :mod:`repro.exec.cache` -- the content-addressed :class:`ResultCache`,
+  one per experiment sweep (runtimes outside a sweep run without one).
 
-Select with ``RuntimeConfig(backend=..., jobs=..., cache=...)`` or the CLI
-``--backend/--jobs/--cache`` flags.  See docs/performance.md.
+Select with ``RuntimeConfig(backend=..., jobs=...)`` or the CLI
+``--backend/--jobs`` flags.  See docs/performance.md.
 """
 
 from repro.exec.backends import (
@@ -26,7 +26,7 @@ from repro.exec.backends import (
     default_jobs,
     make_backend,
 )
-from repro.exec.cache import CacheStats, ResultCache, result_cache
+from repro.exec.cache import CacheStats, ResultCache
 from repro.exec.task import ComputeTask, fingerprint_array, fingerprint_value
 
 __all__ = [
@@ -44,5 +44,4 @@ __all__ = [
     "fingerprint_array",
     "fingerprint_value",
     "make_backend",
-    "result_cache",
 ]

@@ -3,9 +3,9 @@
 The experiment sweeps re-execute enormous amounts of identical numeric
 work: every policy in Figures 6-9 partitions the same input with the same
 page-granular planner, so the exact devices (GPU/CPU) compute the same
-``(kernel, block)`` pairs over and over, and every figure needs the same
-FP64 reference outputs.  The cache eliminates that recompute by keying each
-result on the *content* of everything that determines it (see
+``(kernel, block)`` pairs over and over.  The cache eliminates that
+recompute by keying each result on the *content* of everything that
+determines it (see
 :meth:`repro.exec.task.ComputeTask.cache_key`): input-block fingerprint x
 kernel x device precision path x per-HLOP seed.
 
@@ -20,10 +20,11 @@ Properties:
 * **bounded**: LRU eviction above ``max_bytes`` (default 512 MB) so long
   sweeps cannot grow without limit.
 
-A process-wide cache (:func:`result_cache`) is shared by every runtime
-whose :class:`~repro.core.runtime.RuntimeConfig` enables caching -- that is
-what makes it *cross-run*: the second policy of a sweep hits on the first
-policy's blocks.
+An experiment sweep (:class:`~repro.experiments.common.ExperimentContext`)
+owns one cache and runs every runtime it builds over it -- that is what
+makes it *cross-run*: the second policy of a sweep hits on the first
+policy's blocks, and the entries die with the sweep.  Runtimes built
+outside a sweep get a store-less backend and keep nothing.
 """
 
 from __future__ import annotations
@@ -217,12 +218,3 @@ class ResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-#: The process-wide cross-run cache (see module docstring).
-_GLOBAL_CACHE = ResultCache()
-
-
-def result_cache() -> ResultCache:
-    """The shared process-wide result cache."""
-    return _GLOBAL_CACHE

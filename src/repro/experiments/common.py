@@ -1,11 +1,13 @@
 """Shared machinery for reproducing the paper's figures and tables.
 
-Every ``figN.py`` module builds on :func:`run_policy`: it constructs the
-right platform for a policy (GPU-only for the baseline and software
-pipelining, TPU-only for the "edge TPU" reference, the full Jetson-Nano
-analogue otherwise), executes the kernel's workload, and caches results so
-one experiment sweep never re-runs an identical (kernel, policy, size,
-seed) combination.
+Every ``figN.py`` module builds on :class:`ExperimentContext`: it
+constructs the right platform for a policy (GPU-only for the baseline and
+software pipelining, TPU-only for the "edge TPU" reference, the full
+Jetson-Nano analogue otherwise), executes the kernel's workload, and
+memoizes results so one experiment sweep never re-runs an identical
+(kernel, policy, size, seed) combination.  Every runtime the sweep builds
+computes over the context's one result store, so HLOPs that repeat across
+policies are computed once per sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from repro.core.result import ExecutionReport
 from repro.core.runtime import RuntimeConfig, SHMTRuntime
-from repro.core.schedulers.base import make_scheduler
+from repro.core.schedulers.base import Scheduler, make_scheduler
 from repro.core.vop import VOPCall
 from repro.devices.perf_model import benchmark_names
 from repro.devices.platform import (
@@ -29,7 +31,7 @@ from repro.devices.platform import (
     jetson_nano_platform,
 )
 from repro.devices.edgetpu import EdgeTPUDevice
-from repro.exec import fingerprint_array, fingerprint_value, result_cache
+from repro.exec import ResultCache, make_backend
 from repro.metrics.stats import geometric_mean
 from repro.workloads.generator import Size, generate
 
@@ -88,6 +90,14 @@ class ExperimentSettings:
 class ExperimentContext:
     """Caches workloads, references, and policy runs for one settings set.
 
+    The context owns one :class:`~repro.exec.cache.ResultCache`, and every
+    runtime it builds (:meth:`runtime`) computes over it: the policies of
+    a sweep partition the same input into the same blocks, so each block
+    result is computed once per sweep and served bit-identically to the
+    rest.  ``store`` hands an existing context's store to a derived one
+    (Figure 12's per-size contexts); the store lives as long as the
+    contexts that hold it.
+
     Thread-safe: :meth:`run` and :meth:`reference` may be called from the
     runner's ``--jobs`` fan-out workers; identical in-flight requests are
     deduplicated so each (kernel, policy) executes exactly once.  Runs are
@@ -95,8 +105,13 @@ class ExperimentContext:
     independent of worker interleaving.
     """
 
-    def __init__(self, settings: Optional[ExperimentSettings] = None) -> None:
+    def __init__(
+        self,
+        settings: Optional[ExperimentSettings] = None,
+        store: Optional[ResultCache] = None,
+    ) -> None:
         self.settings = settings or ExperimentSettings()
+        self.store = store if store is not None else ResultCache()
         self._calls: Dict[str, VOPCall] = {}
         self._references: Dict[str, np.ndarray] = {}
         self._runs: Dict[Tuple[str, str], ExecutionReport] = {}
@@ -113,43 +128,36 @@ class ExperimentContext:
         return call
 
     def reference(self, kernel: str) -> np.ndarray:
-        """FP64 full-input reference output for quality metrics.
-
-        When the settings' runtime config enables the result cache, the
-        reference also goes through the process-wide content-addressed
-        cache, so every context (each figure module, each bench phase)
-        shares one computation per distinct input instead of one per
-        context.
-        """
+        """FP64 full-input reference output for quality metrics."""
         with self._lock:
             reference = self._references.get(kernel)
         if reference is None:
             call = self.call(kernel)
-            reference = self._cached_reference(call)
+            reference = np.asarray(
+                call.spec.reference(
+                    call.data.astype(np.float64), call.resolve_context()
+                )
+            )
             with self._lock:
                 reference = self._references.setdefault(kernel, reference)
         return reference
 
-    def _cached_reference(self, call: VOPCall) -> np.ndarray:
-        spec = call.spec
-        host_context = call.resolve_context()
-        key = None
-        if self.settings.runtime_config.cache:
-            ctx_id = fingerprint_value(host_context)
-            if ctx_id is not None:
-                data_fp = call.data_fingerprint() or fingerprint_array(call.data)
-                key = "|".join(["reference", spec.name, ctx_id, data_fp])
-            cache = result_cache()
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            value = np.asarray(
-                spec.reference(call.data.astype(np.float64), host_context)
-            )
-            return cache.put(key, value)
-        return np.asarray(
-            spec.reference(call.data.astype(np.float64), host_context)
+    def runtime(self, platform: Platform, scheduler: Scheduler) -> SHMTRuntime:
+        """A runtime with the settings' config, computing over the store.
+
+        Each runtime gets its own backend -- a run rebinds its fusing
+        backend's hooks, and :meth:`prefetch` runs several at once -- so
+        the locked store is the only object they share.
+        """
+        config = self.settings.runtime_config
+        backend = make_backend(
+            config.backend,
+            jobs=config.jobs,
+            cache=self.store,
+            validate=config.validate,
+            fuse=config.fuse,
         )
+        return SHMTRuntime(platform, scheduler, config, backend=backend)
 
     def run(self, kernel: str, policy: str) -> ExecutionReport:
         key = (kernel, policy)
@@ -167,11 +175,7 @@ class ExperimentContext:
             # (re-checking covers the owner failing without a result).
             pending.wait()
         try:
-            runtime = SHMTRuntime(
-                platform_for(policy),
-                make_scheduler(policy),
-                config=self.settings.runtime_config,
-            )
+            runtime = self.runtime(platform_for(policy), make_scheduler(policy))
             report = runtime.execute(self.call(kernel))
             with self._lock:
                 self._runs[key] = report

@@ -12,6 +12,10 @@ ties the baseline; by 16M+ the calibrated asymptote is reached.
 The default sweep stops at 16M elements to keep the harness quick; pass
 ``max_elements=64 * 2**20`` for the paper's full range (the numerics at
 64M move gigabytes through numpy).
+
+Each size runs in its own context, but every one of them computes over
+the store of the context passed in, so the point whose size equals that
+context's own input reuses the blocks its sweep already computed.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ FULL_RANGE = (4 * 2**10, 16 * 2**10, 64 * 2**10, 256 * 2**10, 2**20, 4 * 2**20, 
 def run(
     settings: Optional[ExperimentSettings] = None,
     max_elements: Optional[int] = None,
+    ctx: Optional[ExperimentContext] = None,
 ) -> FigureResult:
-    if settings is None:
-        settings = ExperimentSettings()
+    ctx = ctx or ExperimentContext(settings)
+    settings = ctx.settings
     if max_elements is None:
         # Thread any reduced --quick size through: a settings-level size
         # caps the sweep, so the quick suite does not wander off to 16M
@@ -44,7 +49,7 @@ def run(
     for size in sizes:
         label = _size_label(size)
         values: List[float] = []
-        sized = ExperimentContext(replace(settings, size=size))
+        sized = ExperimentContext(replace(settings, size=size), store=ctx.store)
         for kernel in kernels:
             values.append(sized.speedup(kernel, SHMT_POLICY))
         series[label] = values

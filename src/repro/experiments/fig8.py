@@ -45,25 +45,17 @@ def run(
     references = {kernel: SSIMReference(ctx.reference(kernel)) for kernel in kernels}
     series = {}
     # Policies with low NPU traffic often produce byte-identical outputs
-    # (e.g. everything routed to exact devices); with result caching
-    # enabled, score each distinct output once -- hashing costs ~1ms where
-    # a rescore costs ~20ms.  Cache-off runs score everything
-    # independently; the memo is part of the caching feature set.
-    dedup = ctx.settings.runtime_config.cache
+    # (e.g. everything routed to exact devices); score each distinct output
+    # once -- hashing costs ~1ms where a rescore costs ~20ms.
     scored: dict = {}
     for policy in QUALITY_POLICIES:
         values = []
         for kernel in kernels:
-            report = ctx.run(kernel, policy)
-            score = None
-            if dedup:
-                output = np.ascontiguousarray(report.output)
-                key = (kernel, hashlib.blake2b(output.tobytes(), digest_size=16).digest())
-                score = scored.get(key)
-                if score is None:
-                    score = scored[key] = ssim(references[kernel], output)
+            output = np.ascontiguousarray(ctx.run(kernel, policy).output)
+            key = (kernel, hashlib.blake2b(output.tobytes(), digest_size=16).digest())
+            score = scored.get(key)
             if score is None:
-                score = ssim(references[kernel], report.output)
+                score = scored[key] = ssim(references[kernel], output)
             values.append(score)
         series[policy] = values
     result = FigureResult(

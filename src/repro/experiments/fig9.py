@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.runtime import SHMTRuntime
 from repro.core.schedulers.qaws import QAWS
 from repro.experiments.common import (
     ExperimentContext,
@@ -46,9 +45,7 @@ def run(
     # its MAPE fields once per kernel.
     references = {kernel: MAPEReference(ctx.reference(kernel)) for kernel in kernels}
     # Adjacent sampling rates often yield identical schedules and hence
-    # byte-identical outputs; with result caching enabled, score each
-    # distinct output once.  Cache-off runs score everything independently.
-    dedup = ctx.settings.runtime_config.cache
+    # byte-identical outputs; score each distinct output once.
     scored: Dict[Tuple[str, bytes], float] = {}
     for exponent in exponents:
         scheduler = QAWS(policy="topk", sampler="striding", sampling_rate=2.0**exponent)
@@ -56,23 +53,15 @@ def run(
         speedups: List[float] = []
         mapes: List[float] = []
         for kernel in kernels:
-            runtime = SHMTRuntime(
-                platform_for("QAWS-TS"),
-                scheduler,
-                config=ctx.settings.runtime_config,
-            )
+            runtime = ctx.runtime(platform_for("QAWS-TS"), scheduler)
             report = runtime.execute(ctx.call(kernel))
             baseline = ctx.run(kernel, "gpu-baseline")
             speedups.append(report.speedup_over(baseline))
-            score = None
-            if dedup:
-                output = np.ascontiguousarray(report.output)
-                key = (kernel, hashlib.blake2b(output.tobytes(), digest_size=16).digest())
-                score = scored.get(key)
-                if score is None:
-                    score = scored[key] = mape_percent(references[kernel], output)
+            output = np.ascontiguousarray(report.output)
+            key = (kernel, hashlib.blake2b(output.tobytes(), digest_size=16).digest())
+            score = scored.get(key)
             if score is None:
-                score = mape_percent(references[kernel], report.output)
+                score = scored[key] = mape_percent(references[kernel], output)
             mapes.append(score)
         speedup_series[label] = speedups
         mape_series[label] = mapes

@@ -6,13 +6,16 @@ Pass ``--quick`` for a reduced-size sanity sweep (the reduced size is
 threaded through *every* experiment, including Figure 1's program frame
 and Figure 12's size sweep, so the quick suite stays fast end to end).
 
+The figures share one :class:`~repro.experiments.common.ExperimentContext`,
+whose result store every runtime of the sweep computes over (Figure 12's
+per-size contexts included), so the N policies of one sweep stop
+recomputing identical kernel blocks.  The store lives for one
+:func:`run_all` call.
+
 Performance knobs (see docs/performance.md):
 
 * ``--backend {serial,pool,process}`` / ``--jobs N`` select the compute
   backend executing HLOP numerics inside each run;
-* ``--cache`` enables the process-wide content-addressed result cache, so
-  the N policies of one sweep stop recomputing identical kernel blocks
-  and references;
 * ``--jobs`` also fans the (experiment, kernel, policy) grid out across
   worker threads before the figures are printed -- results are
   deterministic and identical to a serial sweep.
@@ -86,7 +89,7 @@ def run_all(
         ("Figure 9", lambda: fig9.run(settings, ctx=shared)),
         ("Figure 10", lambda: fig10.run(settings, ctx=shared)),
         ("Figure 11", lambda: fig11.run(settings, ctx=shared)),
-        ("Figure 12", lambda: fig12.run(settings)),
+        ("Figure 12", lambda: fig12.run(settings, ctx=shared)),
         ("Table 3", lambda: table3.run(settings, ctx=shared)),
     ]
     for name, thunk in experiments:
@@ -131,12 +134,11 @@ def run_all(
 def apply_performance_args(
     settings: ExperimentSettings, args: argparse.Namespace
 ) -> ExperimentSettings:
-    """Fold the shared --backend/--jobs/--cache flags into the settings."""
+    """Fold the shared --backend/--jobs flags into the settings."""
     settings.runtime_config = replace(
         settings.runtime_config,
         backend=args.backend,
         jobs=args.jobs,
-        cache=args.cache,
         validate=args.validate,
         fuse=args.fuse,
     )
@@ -157,11 +159,6 @@ def add_performance_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="worker count: backend pool size and (kernel, policy) fan-out",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="enable the content-addressed cross-run result cache",
     )
     parser.add_argument(
         "--fuse",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.runtime import SHMTRuntime
 from repro.core.schedulers.base import make_scheduler
 from repro.devices.cpu import CPUDevice
 from repro.devices.dsp import DSPDevice
@@ -64,11 +63,7 @@ def run(
         speedups: List[float] = []
         for kernel in kernels:
             baseline = ctx.run(kernel, "gpu-baseline")
-            runtime = SHMTRuntime(
-                platform,
-                make_scheduler("work-stealing"),
-                config=ctx.settings.runtime_config,
-            )
+            runtime = ctx.runtime(platform, make_scheduler("work-stealing"))
             report = runtime.execute(ctx.call(kernel))
             speedups.append(report.speedup_over(baseline))
         series[label] = speedups

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exec.cache import ResultCache, result_cache
+from repro.exec.cache import ResultCache
 
 
 def _arr(n, value=1.0):
@@ -119,11 +119,6 @@ def test_thread_safety_under_contention():
     assert not errors
     total = cache.stats.hits + cache.stats.misses
     assert total == 8 * 200
-
-
-def test_global_cache_is_a_singleton():
-    assert result_cache() is result_cache()
-    assert isinstance(result_cache(), ResultCache)
 
 
 # ------------------------------------------------------- LRU audit (PR 4)

@@ -2,7 +2,7 @@
 
 ``experiments_output_quick.txt`` at the repository root is the printed
 output of ``python -m repro.experiments.runner --quick --seed 0`` (default
-performance flags: serial backend, cache off) with the per-figure
+performance flags: serial backend, fusion off) with the per-figure
 ``[... regenerated in ...]`` timing lines removed.  Every run is
 deterministic, so any drift in a printed number is a behaviour change:
 a change that moves a number on purpose regenerates this file (and the

@@ -4,7 +4,9 @@ Two layers: the checker itself, driven directly with fabricated evidence
 (each seeded violation must be caught, each legal sequence must not), and
 the runtime wiring, where a monkeypatched bug -- a double aggregation, a
 rewound clock, an overlapping tile -- must abort a ``validate=True`` run
-with :class:`~repro.verify.invariants.InvariantViolation`.
+with :class:`~repro.verify.invariants.InvariantViolation`, and a poisoned
+result-store entry must abort it with
+:class:`~repro.exec.cache.CacheIntegrityError`.
 """
 
 from types import SimpleNamespace
@@ -17,6 +19,8 @@ from repro.core.partition import Partition, PartitionConfig
 from repro.core.runtime import RuntimeConfig, SHMTRuntime
 from repro.core.schedulers.base import make_scheduler
 from repro.devices.platform import jetson_nano_platform
+from repro.exec import make_backend
+from repro.exec.cache import CacheIntegrityError, ResultCache
 from repro.obs import RunObserver
 from repro.verify.invariants import InvariantViolation, RunChecker, Violation
 from repro.workloads.generator import generate
@@ -295,14 +299,17 @@ def test_violations_mirror_into_obs_recorder():
 # validate=True run.  These mirror the scripts/verify_check.py fixtures.
 
 
-def _validated_run():
+def _validated_run(store=None, kernel="fft"):
     config = RuntimeConfig(
         partition=PartitionConfig(target_partitions=16), seed=7, validate=True
     )
+    backend = None
+    if store is not None:
+        backend = make_backend("serial", cache=store, validate=True)
     runtime = SHMTRuntime(
-        jetson_nano_platform(), make_scheduler("QAWS-TS"), config
+        jetson_nano_platform(), make_scheduler("QAWS-TS"), config, backend=backend
     )
-    return runtime.execute(generate("fft", size=(64, 64), seed=7))
+    return runtime.execute(generate(kernel, size=(64, 64), seed=7))
 
 
 def test_validated_run_is_clean():
@@ -362,3 +369,22 @@ def test_injected_overlap_tile_aborts_run(monkeypatch):
     monkeypatch.setattr(runtime_module, "plan_partitions", patched)
     with pytest.raises(InvariantViolation, match="tiling-coverage"):
         _validated_run()
+
+
+@pytest.mark.parametrize(
+    "kernel, pad", [("fft", False), ("sobel", True)], ids=["block", "pad"]
+)
+def test_injected_cache_poison_aborts_run(kernel, pad):
+    store = ResultCache()
+    _validated_run(store, kernel)
+    # Flip a stored block result (or a halo kernel's shared pad) after its
+    # fingerprint was recorded; the next validated run over the same
+    # store must refuse to serve it.
+    with store._lock:
+        key = next(k for k in store._fingerprints if k.startswith("pad1:") == pad)
+        entry = store._entries[key]
+    entry.flags.writeable = True
+    entry[(0,) * entry.ndim] += 1.0
+    entry.flags.writeable = False
+    with pytest.raises(CacheIntegrityError, match="fingerprint"):
+        _validated_run(store, kernel)
