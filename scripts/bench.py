@@ -6,7 +6,7 @@ Runs the experiment suite three times -- the ``serial`` backend, the
 -- and records wall-clock per experiment, per-leg totals, fusion
 statistics, and a ``repro.obs`` phase profile of a representative
 observed run.  Every leg shares HLOP results within its own sweep
-(``run_all``'s one result store), so the legs differ only in where the
+(``run_all``'s result store per kernel), so the legs differ only in where the
 numerics run and whether they fuse.
 With ``--repeat N`` the legs run as N paired rounds and the reported
 speedups come from the best single round, so both ends of every ratio

@@ -232,6 +232,34 @@ class FigureResult:
     def value(self, row: str, kernel: str) -> float:
         return self.series[row][self.kernels.index(kernel)]
 
+    @classmethod
+    def concat(cls, parts: Sequence["FigureResult"]) -> "FigureResult":
+        """Join one figure's per-kernel parts column-wise, in part order.
+
+        Every part carries the figure's name and rows; a part may cover no
+        kernel (Figure 8's part for a non-image kernel) and adds nothing.
+        The GMEANs are recomputed over the joined rows.
+        """
+        if not parts:
+            raise ValueError("FigureResult.concat needs at least one part")
+        first = parts[0]
+        for part in parts[1:]:
+            if part.name != first.name or part.series.keys() != first.series.keys():
+                raise ValueError(
+                    f"cannot join {part.name!r} rows {list(part.series)} onto "
+                    f"{first.name!r} rows {list(first.series)}"
+                )
+        result = cls(
+            name=first.name,
+            kernels=[kernel for part in parts for kernel in part.kernels],
+            series={
+                row: [value for part in parts for value in part.series[row]]
+                for row in first.series
+            },
+        )
+        result.compute_gmeans()
+        return result
+
     def compute_gmeans(self) -> None:
         for row, values in self.series.items():
             positives = [v for v in values if v > 0]

@@ -6,18 +6,22 @@ Pass ``--quick`` for a reduced-size sanity sweep (the reduced size is
 threaded through *every* experiment, including Figure 1's program frame
 and Figure 12's size sweep, so the quick suite stays fast end to end).
 
-The figures share one :class:`~repro.experiments.common.ExperimentContext`,
-whose result store every runtime of the sweep computes over (Figure 12's
-per-size contexts included), so the N policies of one sweep stop
-recomputing identical kernel blocks.  The store lives for one
-:func:`run_all` call.
+The sweep runs kernel by kernel.  Figure 1 runs once; then each kernel
+gets its own one-kernel :class:`~repro.experiments.common.ExperimentContext`,
+the figures share it, and its result store is what every runtime of that
+kernel's sweep computes over (Figure 12's per-size contexts included), so
+the N policies of one kernel stop recomputing identical blocks.  No figure
+reads another kernel's runs, so the context -- runs, references and store
+-- lives for one kernel's sweep and is freed before the next kernel
+starts; the per-kernel results are joined column-wise into the printed
+tables.
 
 Performance knobs (see docs/performance.md):
 
 * ``--backend {serial,pool,process}`` / ``--jobs N`` select the compute
   backend executing HLOP numerics inside each run;
-* ``--jobs`` also fans the (experiment, kernel, policy) grid out across
-  worker threads before the figures are printed -- results are
+* ``--jobs`` also fans each kernel's (experiment, policy) grid out across
+  worker threads before that kernel's figures run -- results are
   deterministic and identical to a serial sweep.
 """
 
@@ -36,12 +40,13 @@ from repro.experiments.common import (
     QUALITY_POLICIES,
     ExperimentContext,
     ExperimentSettings,
+    FigureResult,
 )
 
 
 def prefetch_pairs(settings: ExperimentSettings) -> List[Tuple[str, str]]:
-    """The (kernel, policy) grid the figure modules will ask the shared
-    context for, in deterministic order."""
+    """The (kernel, policy) grid the figure modules will ask a context
+    for, in deterministic order."""
     kernels = list(settings.kernels)
     pairs: List[Tuple[str, str]] = []
     for kernel in kernels:
@@ -54,6 +59,20 @@ def prefetch_pairs(settings: ExperimentSettings) -> List[Tuple[str, str]]:
     return list(dict.fromkeys(pairs))
 
 
+#: The figures regenerated from each kernel's own context, in print order.
+PER_KERNEL_FIGURES = (
+    ("Figure 2", fig2.run),
+    ("Figure 6", fig6.run),
+    ("Figure 7", fig7.run),
+    ("Figure 8", fig8.run),
+    ("Figure 9", fig9.run),
+    ("Figure 10", fig10.run),
+    ("Figure 11", fig11.run),
+    ("Figure 12", fig12.run),
+    ("Table 3", table3.run),
+)
+
+
 def run_all(
     settings: Optional[ExperimentSettings] = None,
     out=sys.stdout,
@@ -62,73 +81,83 @@ def run_all(
 ) -> Dict[str, float]:
     """Regenerate the evaluation; returns wall-clock seconds per experiment.
 
-    The timings dict (experiment name -> elapsed seconds, plus a
-    ``"total"`` entry and, with ``jobs``, a ``"prefetch"`` entry) is what
-    ``scripts/bench.py`` records.
+    The timings dict (experiment name -> elapsed seconds summed over the
+    kernels, plus a ``"total"`` entry and, with ``jobs``, a ``"prefetch"``
+    entry) is what ``scripts/bench.py`` records.
     """
-    # One shared context so the GPU-baseline runs, workloads, and FP64
-    # references are computed once across all figures.
-    if metrics_path is not None:
-        settings = settings or ExperimentSettings()
-        settings.runtime_config = replace(settings.runtime_config, observe=True)
     settings = settings or ExperimentSettings()
-    shared = ExperimentContext(settings)
-    timings: Dict[str, float] = {}
+    if metrics_path is not None:
+        from repro.obs import to_records, write_records_jsonl
+
+        settings = replace(
+            settings, runtime_config=replace(settings.runtime_config, observe=True)
+        )
+    prefetch = bool(jobs and jobs > 1)
+    timings: Dict[str, float] = {"prefetch": 0.0} if prefetch else {}
     suite_start = time.time()
-    if jobs and jobs > 1:
-        start = time.time()
-        shared.prefetch(prefetch_pairs(settings), jobs=jobs)
-        timings["prefetch"] = time.time() - start
+    start = time.time()
+    results = {"Figure 1": fig1.run(settings)}
+    timings["Figure 1"] = time.time() - start
+    parts: Dict[str, list] = {name: [] for name, _ in PER_KERNEL_FIGURES}
+    timings.update(dict.fromkeys(parts, 0.0))
+    observed: Dict[Tuple[str, str], list] = {}
+    # One context per kernel.  An empty kernel list still runs one empty
+    # sweep, so every figure prints its (empty) table.
+    sweeps = [replace(settings, kernels=[kernel]) for kernel in settings.kernels]
+    for kernel_settings in sweeps or [settings]:
+        ctx = ExperimentContext(kernel_settings)
+        if prefetch:
+            start = time.time()
+            ctx.prefetch(prefetch_pairs(kernel_settings), jobs=jobs)
+            timings["prefetch"] += time.time() - start
+        for name, figure in PER_KERNEL_FIGURES:
+            start = time.time()
+            parts[name].append(figure(kernel_settings, ctx=ctx))
+            timings[name] += time.time() - start
+        if metrics_path is not None:
+            # Keep each run's records, not its report, past the context.
+            observed.update(
+                {
+                    (kernel, policy): to_records(
+                        report.metrics,
+                        meta={"kernel": kernel, "policy": policy, "seed": settings.seed},
+                    )
+                    for kernel, policy, report in ctx.observed_runs()
+                }
+            )
+        # The last reference: the kernel's runs, references and store go
+        # before the next kernel's are built.
+        del ctx
+    timings["total"] = time.time() - suite_start
+    if prefetch:
         print(f"[prefetched shared runs in {timings['prefetch']:.1f}s]\n", file=out)
-    experiments = [
-        ("Figure 1", lambda: fig1.run(settings)),
-        ("Figure 2", lambda: fig2.run(settings, ctx=shared)),
-        ("Figure 6", lambda: fig6.run(settings, ctx=shared)),
-        ("Figure 7", lambda: fig7.run(settings, ctx=shared)),
-        ("Figure 8", lambda: fig8.run(settings, ctx=shared)),
-        ("Figure 9", lambda: fig9.run(settings, ctx=shared)),
-        ("Figure 10", lambda: fig10.run(settings, ctx=shared)),
-        ("Figure 11", lambda: fig11.run(settings, ctx=shared)),
-        ("Figure 12", lambda: fig12.run(settings, ctx=shared)),
-        ("Table 3", lambda: table3.run(settings, ctx=shared)),
-    ]
-    for name, thunk in experiments:
-        start = time.time()
-        result = thunk()
-        elapsed = time.time() - start
-        timings[name] = elapsed
+    results.update((name, _join(figure_parts)) for name, figure_parts in parts.items())
+    for name, result in results.items():
         if isinstance(result, dict):
             for sub in result.values():
                 print(sub.format_table(), file=out)
                 print(file=out)
         else:
             print(result.format_table(), file=out)
-        print(f"[{name} regenerated in {elapsed:.1f}s]\n", file=out)
-    timings["total"] = time.time() - suite_start
+        print(f"[{name} regenerated in {timings[name]:.1f}s]\n", file=out)
     if metrics_path is not None:
-        from repro.obs import to_records, write_records_jsonl
-
-        records = []
-        runs = 0
-        for kernel, policy, report in shared.observed_runs():
-            records.extend(
-                to_records(
-                    report.metrics,
-                    meta={
-                        "kernel": kernel,
-                        "policy": policy,
-                        "seed": shared.settings.seed,
-                    },
-                )
-            )
-            runs += 1
+        # The (kernel, policy) order of one shared context's observed_runs.
+        records = [record for key in sorted(observed) for record in observed[key]]
         write_records_jsonl(records, metrics_path)
         print(
-            f"[metrics for {runs} runs ({len(records)} records) "
+            f"[metrics for {len(observed)} runs ({len(records)} records) "
             f"written to {metrics_path}]",
             file=out,
         )
     return timings
+
+
+def _join(parts: list):
+    """One figure's per-kernel results joined in kernel order; Figure 9's
+    ``{"speedup": ..., "mape": ...}`` panels are joined key by key."""
+    if isinstance(parts[0], dict):
+        return {key: FigureResult.concat([part[key] for part in parts]) for key in parts[0]}
+    return FigureResult.concat(parts)
 
 
 def apply_performance_args(
